@@ -4,13 +4,12 @@ Three modes:
 
 * ``pytest benchmarks/bench_aggregate.py --benchmark-only`` —
   pytest-benchmark timings of the position-matrix median kernels versus
-  the dict reference path, and of the online aggregator versus per-update
+  the dict reference in ``repro.verify.reference``, and of the online aggregator versus per-update
   recomputation. ``REPRO_BENCH_SMOKE=1`` shrinks the sizes for CI.
 * ``PYTHONPATH=src python benchmarks/bench_aggregate.py`` — regenerate
   ``BENCH_PR4.json`` at the repo root: the 80-voter × 10,000-item
   acceptance numbers, the online-update comparison, the Kemeny cost-matrix
-  timing, the dict/array engine crossover sweep, and the smoke-size
-  timings the CI gate compares against.
+  timing, and the smoke-size timings the CI gate compares against.
 * ``PYTHONPATH=src python benchmarks/bench_aggregate.py --check BENCH_PR4.json``
   — the regression gate: re-measure the smoke sizes and exit non-zero if
   any kernel is more than 2× slower than the committed baseline, or any
@@ -24,10 +23,10 @@ from __future__ import annotations
 import os
 
 from repro.aggregate.batch import median_scores_batch, median_top_k_batch
-from repro.aggregate.kemeny import pair_cost_matrix
-from repro.aggregate.median import median_scores, median_top_k
+from repro.aggregate.kemeny import pair_cost_array
 from repro.aggregate.online import OnlineMedianAggregator
 from repro.generators.workloads import random_profile_workload
+from repro.verify.reference import median_scores_dict, median_top_k_dict
 
 _SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 
@@ -85,7 +84,7 @@ class TestMedianScores:
 
     def test_dict_engine(self, benchmark):
         profile = _median_profile()
-        scores = benchmark(median_scores, profile, engine="dict")
+        scores = benchmark(median_scores_dict, profile)
         assert scores == median_scores_batch(profile)
 
 
@@ -99,7 +98,7 @@ class TestMedianTopK:
     def test_dict_engine(self, benchmark):
         profile = _median_profile()
         k = _MEDIAN_ITEMS // 10
-        result = benchmark(median_top_k, profile, k, engine="dict")
+        result = benchmark(median_top_k_dict, profile, k)
         assert result == median_top_k_batch(profile, k)
 
 
@@ -116,11 +115,11 @@ class TestOnlineAggregator:
 
 
 class TestKemenyCosting:
-    def test_pair_cost_matrix(self, benchmark):
+    def test_pair_cost_array(self, benchmark):
         profile = random_profile_workload(
             _KEMENY_ITEMS, _KEMENY_RANKINGS, seed=2
         ).rankings
-        items, cost = benchmark(pair_cost_matrix, profile)
+        items, cost = benchmark(pair_cost_array, profile)
         assert len(items) == _KEMENY_ITEMS
         assert all(cost[i][i] == 0.0 for i in range(len(items)))
 
@@ -142,21 +141,17 @@ def _median_comparison(n, m, repeats=3):
     weights = [1.0 + (index % 4) * 0.25 for index in range(m)]
     k = max(1, n // 10)
     t_array, array_scores = _best_of(median_scores_batch, profile, repeats=repeats)
-    t_dict, dict_scores = _best_of(
-        median_scores, profile, engine="dict", repeats=repeats
-    )
+    t_dict, dict_scores = _best_of(median_scores_dict, profile, repeats=repeats)
     assert array_scores == dict_scores
     t_array_w, array_weighted = _best_of(
         median_scores_batch, profile, weights=weights, repeats=repeats
     )
     t_dict_w, dict_weighted = _best_of(
-        median_scores, profile, weights=weights, engine="dict", repeats=repeats
+        median_scores_dict, profile, weights=weights, repeats=repeats
     )
     assert array_weighted == dict_weighted
     t_array_k, array_topk = _best_of(median_top_k_batch, profile, k, repeats=repeats)
-    t_dict_k, dict_topk = _best_of(
-        median_top_k, profile, k, engine="dict", repeats=repeats
-    )
+    t_dict_k, dict_topk = _best_of(median_top_k_dict, profile, k, repeats=repeats)
     assert array_topk == dict_topk
     return {
         "n_items": n,
@@ -198,42 +193,12 @@ def _online_comparison():
 
 def _kemeny_timing():
     profile = random_profile_workload(_KEMENY_ITEMS, _KEMENY_RANKINGS, seed=2).rankings
-    seconds, (items, _) = _best_of(pair_cost_matrix, profile)
+    seconds, (items, _) = _best_of(pair_cost_array, profile)
     return {
         "n_items": len(items),
         "m_rankings": _KEMENY_RANKINGS,
         "seconds": round(seconds, 5),
     }
-
-
-def _engine_crossover():
-    """dict vs array median_scores across cell counts (m·n).
-
-    Supports the ``_ARRAY_MIN_CELLS`` threshold ``engine="auto"`` uses:
-    the crossover is where the array path first wins.
-    """
-    rows = []
-    crossover = None
-    m = 8
-    for n in (16, 32, 64, 128, 256, 512, 1_024, 4_096):
-        profile = _median_profile(n, m)
-        t_array, array_scores = _best_of(median_scores_batch, profile, repeats=5)
-        t_dict, dict_scores = _best_of(
-            median_scores, profile, engine="dict", repeats=5
-        )
-        assert array_scores == dict_scores
-        cells = m * n
-        rows.append(
-            {
-                "cells": cells,
-                "dict_s": round(t_dict, 6),
-                "array_s": round(t_array, 6),
-                "speedup": round(t_dict / t_array, 2),
-            }
-        )
-        if crossover is None and t_array < t_dict:
-            crossover = cells
-    return {"m_rankings": m, "crossover_cells": crossover, "rows": rows}
 
 
 def _smoke_measurements():
@@ -247,7 +212,7 @@ def _smoke_measurements():
     assert online_scores == recomputed
     # big enough that the timing is milliseconds, not scheduler noise
     kemeny_profile = random_profile_workload(400, 24, seed=2).rankings
-    t_kemeny, _ = _best_of(pair_cost_matrix, kemeny_profile, repeats=7)
+    t_kemeny, _ = _best_of(pair_cost_array, kemeny_profile, repeats=7)
     return {
         "sizes": {"median": "1000x24", "online": "500x24", "kemeny": "400x24"},
         "timings": {
@@ -314,7 +279,6 @@ def _regenerate() -> int:
         "median_80x10000": _median_comparison(10_000, 80),
         "online_2000x80": _online_comparison(),
         "kemeny_cost_150x40": _kemeny_timing(),
-        "engine_crossover": _engine_crossover(),
         "smoke": _smoke_measurements(),
     }
     write_baseline("BENCH_PR4.json", payload)
@@ -322,7 +286,6 @@ def _regenerate() -> int:
     for key in ("median_scores", "median_scores_weighted", "median_top_k"):
         print(f"{key} 80x10000: {median[key]['speedup']}x")
     print(f"online 2000x80: {payload['online_2000x80']['speedup']}x")
-    print(f"engine crossover: {payload['engine_crossover']['crossover_cells']} cells")
     return 0
 
 

@@ -5,8 +5,8 @@ Three modes:
 * ``pytest benchmarks/bench_kemeny.py --benchmark-only`` —
   pytest-benchmark timings of the SCC-condensed solver on a banded
   n=120 instance (certified exact, refused outright by the monolithic
-  DP) and of the vectorized Held–Karp DP versus the retained Python
-  reference. ``REPRO_BENCH_SMOKE=1`` shrinks the DP comparison size;
+  DP) and of the vectorized Held–Karp DP versus the Python reference
+  in ``repro.verify.reference``. ``REPRO_BENCH_SMOKE=1`` shrinks the DP comparison size;
   the banded solve stays at full size — it is milliseconds either way,
   and shrinking it would un-gate the acceptance claim.
 * ``PYTHONPATH=src python benchmarks/bench_kemeny.py`` — regenerate
@@ -26,14 +26,10 @@ from __future__ import annotations
 import os
 
 from repro.aggregate.decompose import kemeny_decomposed
-from repro.aggregate.kemeny import (
-    _held_karp,
-    _held_karp_python,
-    kemeny_optimal,
-    pair_cost_array,
-)
+from repro.aggregate.kemeny import _held_karp, kemeny_optimal, pair_cost_array
 from repro.errors import AggregationError
 from repro.generators.workloads import banded_profile_workload, random_profile_workload
+from repro.verify.reference import held_karp_python
 
 _SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 
@@ -98,7 +94,7 @@ class TestHeldKarp:
 
     def test_python_reference(self, benchmark):
         cost = _dp_cost(_DP_ITEMS)
-        order, value = benchmark(_held_karp_python, cost, _DP_ITEMS)
+        order, value = benchmark(held_karp_python, cost, _DP_ITEMS)
         # bit-identical to the vectorized DP, tie resolution included
         assert (order, value) == _held_karp(cost, _DP_ITEMS)
 
@@ -139,7 +135,7 @@ def _held_karp_comparison(n, repeats=3):
     """Vectorized vs Python-reference DP at one size, bit-identity checked."""
     cost = _dp_cost(n)
     t_vec, vec = _best_of(_held_karp, cost, n, repeats=repeats)
-    t_ref, ref = _best_of(_held_karp_python, cost, n, repeats=repeats)
+    t_ref, ref = _best_of(held_karp_python, cost, n, repeats=repeats)
     assert vec == ref
     states = 1 << n
     return {

@@ -11,10 +11,10 @@ end to end:
   :func:`~repro.aggregate.medrank.medrank`;
 * **10⁴-voter pairwise matrix** — the Kendall matrix over ten thousand
   voters, computed from an arena through the cache-blocked GEMM path
-  (``m·n²`` beyond the dense budget, so ``strategy="auto"`` tiles);
-* **tiled GEMM bit-for-bit** — beyond the dense cutoff, the blocked
-  accumulation classifies every pair identically to the one-shot GEMM
-  and the per-pair kernels;
+  (``m·n²`` beyond one tile's budget, so the classifier streams tiles);
+* **tiled GEMM bit-for-bit** — beyond one tile's budget, the blocked
+  accumulation classifies every pair identically to a single forced
+  tile and to the per-pair kernel;
 * **zero-copy dispatch** — per-pair tasks over the profile, the shape of
   the chunked pairwise-matrix workers: row-pickling dispatch re-ships
   every row once per pair it participates in (m-1 times), while
@@ -51,7 +51,13 @@ from repro.core.codec import DomainCodec
 from repro.core.partial_ranking import PartialRanking
 from repro.db.mmap_lists import SortedListStore
 from repro.generators.workloads import random_profile_workload
-from repro.metrics.batch import pair_counts_matrix, pairwise_distance_matrix
+from repro.metrics.batch import (
+    _pair_counts_dense_tiled,
+    _pair_counts_pairs,
+    bucket_index_matrix,
+    pair_counts_matrix,
+    pairwise_distance_matrix,
+)
 from repro.obs import metrics as obs_metrics
 from repro.parallel import parallel_map, parallel_map_arena
 
@@ -190,7 +196,7 @@ def _voter_matrix() -> dict:
         "m_voters": _VOTERS_M,
         "n_items": _VOTERS_N,
         "budget_cells": budget_cells,
-        "auto_strategy": "tiled" if counters.get("metrics.batch.tiles") else "dense",
+        "auto_strategy": "tiled" if counters.get("metrics.batch.tiles", 0) > 1 else "dense",
         "tiles": counters.get("metrics.batch.tiles", 0),
         "seconds": round(seconds, 3),
         "checksum": float(matrix.sum()),
@@ -198,15 +204,24 @@ def _voter_matrix() -> dict:
 
 
 def _tiled_agreement() -> dict:
-    """Beyond the dense cutoff: blocked == one-shot == per-pair, exactly."""
+    """Beyond one tile's budget: many tiles == one tile == per-pair, exactly.
+
+    ``dense`` forces a single tile over all items, ``tiled`` is the
+    default width (several tiles at this size), ``pairs`` the per-pair
+    kernel.
+    """
     profile = random_profile_workload(_TILED_N, _TILED_M, seed=11).rankings
+    rows = bucket_index_matrix(profile)
+    kernels = {
+        "dense": (_pair_counts_dense_tiled, rows, _TILED_N),
+        "tiled": (_pair_counts_dense_tiled, rows),
+        "pairs": (_pair_counts_pairs, rows, None),
+    }
     times = {}
     matrices = {}
-    for strategy in ("dense", "tiled", "pairs"):
-        times[strategy], matrices[strategy] = _best_of(
-            pair_counts_matrix, profile, strategy=strategy, repeats=3
-        )
-    _, counters = _captured(pair_counts_matrix, profile, strategy="tiled")
+    for name, (kernel, *args) in kernels.items():
+        times[name], matrices[name] = _best_of(kernel, *args, repeats=3)
+    _, counters = _captured(pair_counts_matrix, profile)
     equal = all(
         matrices["tiled"].pair_counts(i, j) == matrices["dense"].pair_counts(i, j)
         and matrices["tiled"].pair_counts(i, j) == matrices["pairs"].pair_counts(i, j)
@@ -237,14 +252,14 @@ def _pair_l1(payload: tuple[np.ndarray, np.ndarray]) -> float:
     return float(np.abs(a - b).sum())
 
 
-def _arena_pair_l1(arena: ProfileArena, pair: tuple[int, int]) -> float:
+def _arena_pair_l1(task: tuple[ProfileArena, tuple[int, int]]) -> float:
     """Zero-copy path: the task payload is two integers; rows come from
     the worker's shared-memory mapping. Integer arithmetic on doubled
     half-positions (the difference fits the storage dtype, the total
     accumulates in int64), halved at the end — bit-identical to the
     float path because every position is an exact multiple of 1/2 and
     both exact sums sit far below 2**53."""
-    i, j = pair
+    arena, (i, j) = task
     half = arena.half_position_rows
     diff = half[i] - half[j]
     return float(np.abs(diff).sum(dtype=np.int64)) * 0.5

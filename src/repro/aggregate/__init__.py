@@ -7,9 +7,9 @@ metrics:
 * :func:`median_scores` / :class:`MedianAggregator` — the median score
   function and its top-k / full-ranking / fixed-type / partial-ranking
   outputs (Theorems 9, 10, 11 and their generalizations).
-* :mod:`repro.aggregate.batch` — the position-matrix kernel layer behind
-  ``engine="array"``: every median output computed from one ``(m, n)``
-  encode, bit-for-bit equal to the dict reference path.
+* :mod:`repro.aggregate.batch` — the position-matrix kernel layer every
+  median output runs on: one ``(m, n)`` encode, bit-for-bit equal to the
+  dict reference in :mod:`repro.verify.reference`.
 * :func:`optimal_bucketing` — the Figure 1 dynamic program producing the
   partial ranking closest in L1 to an arbitrary score function.
 * :func:`medrank` / :func:`nra_median` — sequential-access algorithms with
@@ -42,7 +42,6 @@ from repro.aggregate.kemeny import (
     kemeny_lower_bound,
     kemeny_optimal,
     pair_cost_array,
-    pair_cost_matrix,
 )
 from repro.aggregate.matching import optimal_footrule_aggregation
 from repro.aggregate.scoring import ScoringScheme
@@ -100,7 +99,6 @@ __all__ = [
     "DecomposedResult",
     "ScoringScheme",
     "pair_cost_array",
-    "pair_cost_matrix",
     "majority_digraph",
     "condorcet_winner",
     "is_condorcet_consistent",

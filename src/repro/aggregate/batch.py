@@ -1,8 +1,8 @@
 """Position-matrix aggregation kernels (the batch layer for paper §6).
 
-The dict-based implementations in :mod:`repro.aggregate.median` compute
-``median_scores`` with O(m·n) dict lookups and ``n`` separate
-:func:`~repro.aggregate.median.median_of` calls. This module encodes a
+Read straight from the definitions, ``median_scores`` takes O(m·n) dict
+lookups and ``n`` separate :func:`~repro.aggregate.median.median_of`
+calls. This module encodes a
 profile of ``m`` rankings over ``n`` items **once** into an ``(m, n)``
 float64 position matrix — reusing the interned
 :class:`~repro.core.codec.DomainCodec` and the per-ranking
@@ -19,9 +19,9 @@ and then derives every §6 output from columnwise array kernels:
   / :func:`median_fixed_type_batch` — a single stable ``argsort`` shared
   by the full-ranking, Figure-1-DP and fixed-type outputs.
 
-Every kernel is **bit-for-bit equal** to the corresponding dict-path
-function, for every tie mode and every weight vector — not merely within
-tolerance. The guarantees rest on three facts: positions are multiples of
+Every kernel is **bit-for-bit equal** to the corresponding dict
+reference in :mod:`repro.verify.reference`, for every tie mode and
+every weight vector — not merely within tolerance. The guarantees rest on three facts: positions are multiples of
 ½ (exact in float64, sums exact in any order); ``np.cumsum`` is a
 sequential scan, so the weighted prefix sums perform the *same additions
 in the same order* as the Python loop; and the sorted order of positions
@@ -30,10 +30,10 @@ multiset the dict path sorts. The Hypothesis suite and the
 ``oracle:aggregate-*`` checks in :mod:`repro.verify` assert the equality
 with ``==``.
 
-The dict implementations remain the independent reference (and the
-readable statement of the paper's definitions); the public functions in
-:mod:`repro.aggregate.median` dispatch here for codec-compatible inputs
-above a small size threshold.
+The dict implementations in :mod:`repro.verify.reference` are the
+independent reference (and the readable statement of the paper's
+definitions); every public ``median_*`` function in
+:mod:`repro.aggregate.median` runs on the kernels here.
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ def _median_scores_array_impl(
             raise AggregationError(
                 "assume_sorted applies to the unweighted kernel only"
             )
-        weight_vec = np.asarray(_validated_weights(weights, m), dtype=np.float64)
+        weight_vec = np.asarray(_validated_weights(weights, m, noun="rankings"), dtype=np.float64)
         low, high = _weighted_bounds(matrix, weight_vec)
     if tie == "low":
         return low.copy()

@@ -47,7 +47,6 @@ from repro.metrics.batch import bucket_index_matrix, sign_tensor
 from repro.parallel import parallel_map, resolve_jobs
 
 __all__ = [
-    "pair_cost_matrix",
     "pair_cost_array",
     "kemeny_lower_bound",
     "kemeny_optimal",
@@ -56,7 +55,7 @@ __all__ = [
 _MAX_EXACT = 16
 
 #: Cap on sign-tensor elements materialized per worker chunk (the same
-#: budget the dense classifier in :mod:`repro.metrics.batch` uses).
+#: per-tile budget the pair classifier in :mod:`repro.metrics.batch` uses).
 _CHUNK_BUDGET = 1 << 23
 
 
@@ -66,7 +65,7 @@ def _pair_order_chunk(
     """Pool worker: exact pair-order counts for a chunk of rankings.
 
     Shares the :func:`repro.metrics.batch.sign_tensor` encoding with the
-    dense all-pairs classifier: from the chunk's ``(c, n·n)`` sign tensor
+    tiled all-pairs classifier: from the chunk's ``(c, n·n)`` sign tensor
     ``S`` and its magnitude ``|S|``, the column sums give
 
         ``ahead = (sum S + sum |S|) / 2``   (count of rankings with the
@@ -110,10 +109,8 @@ def pair_cost_array(
     ``p`` (including the default ``p = 1/2``). ``jobs`` spreads the
     construction over a process pool (see :mod:`repro.parallel`).
 
-    This is the allocation-free kernel every in-package consumer uses
-    (the DP, the lower bound, the SCC decomposition, the tournament
-    diagnostics); :func:`pair_cost_matrix` wraps it for callers wanting
-    plain lists.
+    This is the one cost kernel every consumer uses (the DP, the lower
+    bound, the SCC decomposition, the tournament diagnostics).
     """
     resolved = resolve_scheme(p, scheme)
     validate_profile(rankings)
@@ -122,7 +119,7 @@ def pair_cost_array(
     n = len(items)
     m = len(rankings)
 
-    with obs.trace("aggregate.kemeny.pair_cost_matrix", m=m, n=n):
+    with obs.trace("aggregate.kemeny.pair_cost_array", m=m, n=n):
         obs.add("kemeny.cells", m * n * n)
         bucket_rows = bucket_index_matrix(rankings, codec)
         n_jobs = min(resolve_jobs(jobs), m)
@@ -145,23 +142,6 @@ def pair_cost_array(
             )
         np.fill_diagonal(cost, 0.0)
         return items, cost
-
-
-def pair_cost_matrix(
-    rankings: Sequence[PartialRanking],
-    p: float = 0.5,
-    *,
-    scheme: ScoringScheme | None = None,
-    jobs: int | None = None,
-) -> tuple[list[Item], list[list[float]]]:
-    """:func:`pair_cost_array` with the cost matrix as nested lists.
-
-    Kept as the stable public shape for external callers; everything in
-    this package consumes the ndarray directly to avoid re-materializing
-    the ``(n, n)`` matrix on every hop.
-    """
-    items, cost = pair_cost_array(rankings, p, scheme=scheme, jobs=jobs)
-    return items, cost.tolist()
 
 
 def _lower_bound_from_cost(cost: npt.NDArray[np.float64]) -> float:
@@ -279,41 +259,3 @@ def _held_karp(
         mask ^= 1 << x
     order.reverse()
     return order, float(dp[full - 1])
-
-
-def _held_karp_python(
-    cost: npt.NDArray[np.float64], n: int
-) -> tuple[list[int], float]:
-    """The pre-vectorization reference DP (per-state Python generator sum).
-
-    Retained as the differential twin for :func:`_held_karp`: the
-    benchmark gate (``benchmarks/bench_kemeny.py``) asserts the two agree
-    bit for bit while measuring the per-state speedup of the GEMM path.
-    """
-    rows = cost.tolist()
-    full = 1 << n
-    infinity = float("inf")
-    dp = [infinity] * full
-    parent = [-1] * full
-    dp[0] = 0.0
-    for mask in range(full):
-        base = dp[mask]
-        if base == infinity:
-            continue
-        remaining = [i for i in range(n) if not mask & (1 << i)]
-        for x in remaining:
-            added = sum(rows[x][y] for y in remaining if y != x)
-            new_mask = mask | (1 << x)
-            candidate = base + added
-            if candidate < dp[new_mask]:
-                dp[new_mask] = candidate
-                parent[new_mask] = x
-
-    order: list[int] = []
-    mask = full - 1
-    while mask:
-        x = parent[mask]
-        order.append(x)
-        mask ^= 1 << x
-    order.reverse()
-    return order, dp[full - 1]

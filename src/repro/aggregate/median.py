@@ -19,13 +19,12 @@ When ``m`` is even the paper's ``median(a_1..a_m)`` is a *set*
 ``{a_{m/2}, a_{m/2+1}, (a_{m/2}+a_{m/2+1})/2}``; every member satisfies
 Lemma 8, and the ``tie`` parameter selects which one to use.
 
-Two interchangeable engines compute every output. The ``dict`` engine
-below is the readable reference — per-item gathers and scalar
-:func:`median_of` calls. The ``array`` engine
-(:mod:`repro.aggregate.batch`) encodes the profile once into an ``(m, n)``
-position matrix and is bit-for-bit equal; ``engine="auto"`` (the default)
-delegates to it once the profile is large enough to amortize the numpy
-call overhead.
+Every output is computed by the position-matrix kernels of
+:mod:`repro.aggregate.batch`, which encode the profile once into an
+``(m, n)`` matrix. The readable per-item statement of the definitions —
+gathers plus scalar :func:`median_of` calls — lives in
+:mod:`repro.verify.reference` as the oracle those kernels are checked
+against bit for bit.
 """
 
 from __future__ import annotations
@@ -35,13 +34,11 @@ from dataclasses import dataclass
 from typing import Literal
 
 from repro import obs
-from repro.aggregate.dp import optimal_partial_ranking
 from repro.aggregate.objective import validate_profile
 from repro.core.partial_ranking import Item, PartialRanking
 from repro.errors import AggregationError
 
 MedianTie = Literal["mid", "low", "high"]
-MedianEngine = Literal["auto", "dict", "array"]
 
 __all__ = [
     "median_of",
@@ -52,12 +49,6 @@ __all__ = [
     "median_fixed_type",
     "MedianAggregator",
 ]
-
-#: ``engine="auto"`` switches to the array kernels once the position
-#: matrix has at least this many cells (m·n); below it the dict path's
-#: lack of numpy call overhead wins (see docs/PERFORMANCE.md).
-_ARRAY_MIN_CELLS = 1024
-
 
 def _check_tie(tie: str) -> None:
     if tie not in ("low", "mid", "high"):
@@ -81,19 +72,6 @@ def _validated_weights(
     if any(w <= 0 for w in checked):
         raise AggregationError("weights must be strictly positive")
     return checked
-
-
-def _resolve_engine(engine: str, cells: int) -> str:
-    if engine == "auto":
-        engine = "array" if cells >= _ARRAY_MIN_CELLS else "dict"
-    elif engine not in ("dict", "array"):
-        raise AggregationError(f"unknown median engine {engine!r}")
-    if obs.enabled():
-        # one shared instrumentation site for every median_* entry point:
-        # the crossover decision lands on the caller's @traced span
-        obs.add(f"aggregate.engine.{engine}")
-        obs.set_attr("engine", engine)
-    return engine
 
 
 def median_of(
@@ -156,13 +134,15 @@ def _median_of_checked(
     return (low + high) / 2
 
 
+# The kernels import this module's validation helpers, so each entry
+# point imports them at call time rather than at module load.
+
+
 @obs.traced("aggregate.median_scores")
 def median_scores(
     rankings: Sequence[PartialRanking],
     tie: MedianTie = "mid",
     weights: Sequence[float] | None = None,
-    *,
-    engine: MedianEngine = "auto",
 ) -> dict[Item, float]:
     """The median score function ``f(d) = median_i sigma_i(d)``.
 
@@ -170,29 +150,10 @@ def median_scores(
     Optional ``weights`` (one positive weight per input ranking) give the
     weighted-voter generalization: the weighted median minimizes
     ``sum_i w_i L1(f, sigma_i)`` (see docs/THEORY.md, Lemma 8W).
-
-    ``engine`` selects the dict reference path or the position-matrix
-    kernels of :mod:`repro.aggregate.batch`; the two are bit-for-bit
-    interchangeable.
     """
-    domain = validate_profile(rankings)
-    _check_tie(tie)
-    checked = _validated_weights(weights, len(rankings), noun="rankings")
-    if _resolve_engine(engine, len(rankings) * len(domain)) == "array":
-        from repro.aggregate.batch import median_scores_batch
+    from repro.aggregate.batch import median_scores_batch
 
-        return median_scores_batch(rankings, tie=tie, weights=checked)
-    return {
-        item: _median_of_checked(
-            [sigma[item] for sigma in rankings], tie, checked  # repro: noqa[RP009] — the dict engine is the retained reference path
-        )
-        for item in domain
-    }
-
-
-def _order_by_scores(scores: dict[Item, float]) -> list[Item]:
-    """Items sorted by score, ties broken canonically (deterministic)."""
-    return sorted(scores, key=lambda item: (scores[item], type(item).__name__, repr(item)))
+    return median_scores_batch(rankings, tie=tie, weights=weights)
 
 
 @obs.traced("aggregate.median_top_k")
@@ -201,8 +162,6 @@ def median_top_k(
     k: int,
     tie: MedianTie = "mid",
     weights: Sequence[float] | None = None,
-    *,
-    engine: MedianEngine = "auto",
 ) -> PartialRanking:
     """Theorem 9: the median top-k list.
 
@@ -210,16 +169,9 @@ def median_top_k(
     everything else is the bottom bucket. Guaranteed within factor 3 of the
     optimal top-k list w.r.t. ``sum_i F_prof``.
     """
-    domain = validate_profile(rankings)
-    if _resolve_engine(engine, len(rankings) * len(domain)) == "array":
-        from repro.aggregate.batch import median_top_k_batch
+    from repro.aggregate.batch import median_top_k_batch
 
-        return median_top_k_batch(rankings, k, tie=tie, weights=weights)
-    scores = median_scores(rankings, tie=tie, weights=weights, engine="dict")
-    if not 0 < k <= len(scores):
-        raise AggregationError(f"k={k} out of range for domain of size {len(scores)}")
-    ordered = _order_by_scores(scores)
-    return PartialRanking.top_k(ordered[:k], scores.keys())
+    return median_top_k_batch(rankings, k, tie=tie, weights=weights)
 
 
 @obs.traced("aggregate.median_full_ranking")
@@ -227,21 +179,15 @@ def median_full_ranking(
     rankings: Sequence[PartialRanking],
     tie: MedianTie = "mid",
     weights: Sequence[float] | None = None,
-    *,
-    engine: MedianEngine = "auto",
 ) -> PartialRanking:
     """Theorem 11: a full ranking refining the median-induced ranking.
 
     Ties in the median scores are broken canonically. For full-ranking
     inputs this is a factor-2 approximation w.r.t. ``sum_i F``.
     """
-    domain = validate_profile(rankings)
-    if _resolve_engine(engine, len(rankings) * len(domain)) == "array":
-        from repro.aggregate.batch import median_full_ranking_batch
+    from repro.aggregate.batch import median_full_ranking_batch
 
-        return median_full_ranking_batch(rankings, tie=tie, weights=weights)
-    scores = median_scores(rankings, tie=tie, weights=weights, engine="dict")
-    return PartialRanking.from_sequence(_order_by_scores(scores))
+    return median_full_ranking_batch(rankings, tie=tie, weights=weights)
 
 
 @obs.traced("aggregate.median_partial_ranking")
@@ -249,21 +195,15 @@ def median_partial_ranking(
     rankings: Sequence[PartialRanking],
     tie: MedianTie = "mid",
     weights: Sequence[float] | None = None,
-    *,
-    engine: MedianEngine = "auto",
 ) -> PartialRanking:
     """Theorem 10: the partial ranking ``f†`` closest in L1 to the median.
 
     Uses the O(n²) dynamic program of Figure 1; a factor-2 approximation
     against all partial rankings (for partial-ranking inputs).
     """
-    domain = validate_profile(rankings)
-    if _resolve_engine(engine, len(rankings) * len(domain)) == "array":
-        from repro.aggregate.batch import median_partial_ranking_batch
+    from repro.aggregate.batch import median_partial_ranking_batch
 
-        return median_partial_ranking_batch(rankings, tie=tie, weights=weights)
-    scores = median_scores(rankings, tie=tie, weights=weights, engine="dict")
-    return optimal_partial_ranking(scores)
+    return median_partial_ranking_batch(rankings, tie=tie, weights=weights)
 
 
 @obs.traced("aggregate.median_fixed_type")
@@ -271,8 +211,6 @@ def median_fixed_type(
     rankings: Sequence[PartialRanking],
     bucket_type: Sequence[int],
     tie: MedianTie = "mid",
-    *,
-    engine: MedianEngine = "auto",
 ) -> PartialRanking:
     """Corollary 30: the median aggregation constrained to a given type.
 
@@ -281,25 +219,9 @@ def median_fixed_type(
     consistent with the median scores, within factor 3 of the optimum over
     that type.
     """
-    domain = validate_profile(rankings)
-    if _resolve_engine(engine, len(rankings) * len(domain)) == "array":
-        from repro.aggregate.batch import median_fixed_type_batch
+    from repro.aggregate.batch import median_fixed_type_batch
 
-        return median_fixed_type_batch(rankings, bucket_type, tie=tie)
-    scores = median_scores(rankings, tie=tie, engine="dict")
-    if sum(bucket_type) != len(scores):
-        raise AggregationError(
-            f"type {tuple(bucket_type)} does not partition a domain of size {len(scores)}"
-        )
-    if any(size <= 0 for size in bucket_type):
-        raise AggregationError("bucket sizes must be positive")
-    ordered = _order_by_scores(scores)
-    buckets: list[list[Item]] = []
-    start = 0
-    for size in bucket_type:
-        buckets.append(ordered[start : start + size])
-        start += size
-    return PartialRanking(buckets)
+    return median_fixed_type_batch(rankings, bucket_type, tie=tie)
 
 
 @dataclass(frozen=True, slots=True)

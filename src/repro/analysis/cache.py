@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 #: Bump on any change to rule behaviour or the engine's finding format.
-RULESET_VERSION = "2026.08-rp016"
+RULESET_VERSION = "2026.10-rp009"
 
 _CACHE_FORMAT = "repro.analysis/cache-1"
 

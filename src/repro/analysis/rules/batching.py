@@ -16,8 +16,8 @@ position-matrix encode, bit-for-bit equal to the dict path — so both
 shapes are flagged:
 
 * a call to ``median_of`` at loop depth >= 2;
-* a call to ``pair_cost_matrix`` / ``pair_cost_array`` at loop depth
-  >= 2 — each call is a full O(n^2 m) profile scan, so nested loops
+* a call to ``pair_cost_array`` at loop depth >= 2 — each call is a
+  full O(n^2 m) profile scan, so nested loops
   re-derive the same matrix over and over;
   :func:`repro.aggregate.decompose.kemeny_decomposed` builds it once and
   slices per component instead;
@@ -68,10 +68,10 @@ PER_PAIR_METRIC_NAMES = frozenset(
 #: Per-item aggregation entry points with a position-matrix equivalent.
 PER_ITEM_AGGREGATION_NAMES = frozenset({"median_of"})
 
-#: Full-profile cost-matrix builders: one call scans the whole profile,
-#: so calling them from nested loops repeats an O(n^2 m) kernel per
+#: The full-profile cost-matrix builder: one call scans the whole profile,
+#: so calling it from nested loops repeats an O(n^2 m) kernel per
 #: iteration. Slice one matrix instead (repro.aggregate.decompose does).
-PROFILE_COST_KERNEL_NAMES = frozenset({"pair_cost_matrix", "pair_cost_array"})
+PROFILE_COST_KERNEL_NAMES = frozenset({"pair_cost_array"})
 
 #: Container names treated as "a ranking" for the gather pattern — the
 #: paper's notation, which the codebase follows for PartialRanking values.

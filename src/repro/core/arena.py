@@ -20,13 +20,16 @@ bucket-index matrix and the position matrix in doubled "half units"
   :func:`int32_fits`, never an accumulator one (RP014 enforces this).
 * workers **map, not copy**: :func:`repro.parallel.parallel_map_arena`
   ships only the :class:`ArenaHandle` (a name and a shape) and each
-  worker attaches the same physical pages.
+  worker attaches the same physical pages. The batch kernels have one
+  chunk worker per kernel shape, each taking an ``(m, n)`` matrix; on
+  this path the worker reads that matrix (:attr:`~ProfileArena.bucket_rows`
+  or :attr:`~ProfileArena.positions`) from its mapped arena.
 * float64 positions are decoded lazily (``half · 0.5``, exact) and
   cached per attached process, so the object-layer kernels see exactly
   the floats they always saw — every arena-backed result is required to
   be bit-for-bit equal to the list-of-rankings path, and the
-  ``oracle:aggregate-arena-backed`` / ``oracle:pairwise-strategies``
-  checks assert it.
+  ``oracle:batch-arena`` / ``oracle:aggregate-median-outputs`` checks
+  assert it.
 
 Lifecycle: arenas are refcounted per process. :meth:`from_profile` and
 :meth:`attach` return an arena holding one reference; a repeated

@@ -11,12 +11,12 @@ per profile:
   <repro.core.partial_ranking.PartialRanking.dense_arrays>` are encoded
   exactly once);
 * stacked ``(m, n)`` bucket-index / position matrices;
-* for the Kendall family, an all-pairs pair classifier with two
-  interchangeable strategies — a *dense* one that turns the five pair
-  categories into four matrix products over ±1 sign tensors (O(m²n²)
-  multiply-adds, but inside BLAS), and a *pairs* one that runs the
-  O(n log n) lexsort/merge kernel of :mod:`repro.metrics.fast` per pair
-  and scales to domains where the dense tensor would not fit.
+* for the Kendall family, an all-pairs pair classifier that turns the
+  five pair categories into four matrix products over ±1 sign tensors
+  (O(m²n²) multiply-adds, but inside BLAS), streamed over item tiles so
+  the tensors stay within a memory budget; on domains too large even for
+  that it runs the O(n log n) lexsort/merge kernel of
+  :mod:`repro.metrics.fast` per pair instead.
 
 Every entry is **bit-for-bit equal** to the corresponding two-ranking
 metric (``kendall``, ``footrule``, ``kendall_hausdorff``,
@@ -26,15 +26,18 @@ gemms below 2⁵³), so there is no tolerance anywhere — the test suite
 asserts equality with ``==``.
 
 The ``jobs`` keyword (default: serial; see :mod:`repro.parallel`) spreads
-the per-pair strategies over a process pool; results are reassembled in
+the per-pair kernels over a process pool; results are reassembled in
 input order, so parallel runs are bit-for-bit identical to serial ones.
+Each per-pair kernel has one pool worker, which takes an ``(m, n)`` row
+matrix; on the arena path the task carries the worker's mapped arena
+instead and the worker reads the matrix from it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import Any, Union
+from typing import Any, TypeVar, Union
 
 import numpy as np
 import numpy.typing as npt
@@ -61,6 +64,8 @@ from repro.parallel import parallel_map, parallel_map_arena, resolve_jobs
 #: required to produce bit-identical results for them.
 Profile = Union[Sequence[PartialRanking], ProfileArena]
 
+_R = TypeVar("_R")
+
 __all__ = [
     "PairCountsMatrix",
     "profile_codec",
@@ -69,31 +74,15 @@ __all__ = [
     "sign_tensor",
     "pair_counts_matrix",
     "pairwise_distance_matrix",
-    "METRIC_ALIASES",
 ]
 
-#: Accepted ``metric=`` spellings of the four built-ins, normalized to
-#: the canonical name. Retained for back-compat; the metric plugin
-#: registry (:mod:`repro.metrics.registry`) is the authoritative
-#: name-resolution surface and also covers registered plugins.
-METRIC_ALIASES = {
-    "kendall": "kendall",
-    "k_prof": "kendall",
-    "footrule": "footrule",
-    "f_prof": "footrule",
-    "kendall_hausdorff": "kendall_hausdorff",
-    "k_haus": "kendall_hausdorff",
-    "footrule_hausdorff": "footrule_hausdorff",
-    "f_haus": "footrule_hausdorff",
-}
-
-#: Dense pair-classification is used when m·n² stays below this many
-#: tensor elements (three float64 tensors of that size are materialized).
+#: Sign-tensor elements materialized per GEMM tile (three float64
+#: tensors of this size exist at once). A profile with m·n² at most this
+#: large is classified in a single tile.
 _DENSE_BUDGET = 1 << 23
 
-#: The tiled GEMM strategy extends the dense math to m·n² this large by
-#: streaming item tiles whose sign tensors stay within ``_DENSE_BUDGET``
-#: elements; beyond it, ``auto`` falls back to the per-pair kernel.
+#: The tiled GEMM classifier covers m·n² up to this many elements;
+#: beyond it, :func:`pair_counts_matrix` uses the per-pair kernel.
 _TILED_BUDGET = 1 << 27
 
 
@@ -199,10 +188,10 @@ def sign_tensor(
     ``S[r, i·n + j] = sign(bucket_r(i) − bucket_r(j))`` — +1 when ranking
     ``r`` places item ``j`` strictly ahead of item ``i``, −1 when behind,
     0 when tied. ``|S|`` is the strict-order indicator and ``1 − |S|`` the
-    tie indicator, so one tensor feeds both the dense pair classifier
-    here and the Kemeny pair-cost accumulation in
-    :mod:`repro.aggregate.kemeny`. Entries are exact small integers in
-    float64.
+    tie indicator, so the same encoding feeds both the tiled pair
+    classifier here (built one item tile at a time) and the Kemeny
+    pair-cost accumulation in :mod:`repro.aggregate.kemeny`. Entries are
+    exact small integers in float64.
     """
     m, n = bucket_rows.shape
     sign = np.sign(bucket_rows[:, :, None] - bucket_rows[:, None, :]).reshape(m, n * n)
@@ -240,12 +229,24 @@ def _classify_rows(
     return count_inversions_array(ys), tied_both
 
 
-def _classify_chunk(
-    task: tuple[npt.NDArray[np.int64], list[tuple[int, int]]],
-) -> list[tuple[int, int]]:
-    """Pool worker: classify a chunk of (i, j) index pairs."""
-    bucket_rows, index_pairs = task
-    return [_classify_rows(bucket_rows[i], bucket_rows[j]) for i, j in index_pairs]
+#: A chunk worker's rows: the ``(m, n)`` matrix itself or, on the arena
+#: path, the :class:`~repro.core.arena.ProfileArena` holding it.
+_Rows = Union[npt.NDArray[Any], ProfileArena]
+
+#: A chunk worker's task: its rows and the (i, j) index pairs to evaluate.
+_Task = tuple[_Rows, list[tuple[int, int]]]
+
+
+def _rows(source: _Rows, view: str) -> npt.NDArray[Any]:
+    """A worker's row matrix: the task's array, or the arena's ``view``."""
+    return getattr(source, view) if isinstance(source, ProfileArena) else source
+
+
+def _classify_chunk(task: _Task) -> list[tuple[int, int]]:
+    """Pool worker: (discordant, tied_both) for a chunk of index pairs."""
+    source, index_pairs = task
+    rows = _rows(source, "bucket_rows")
+    return [_classify_rows(rows[i], rows[j]) for i, j in index_pairs]
 
 
 def _upper_triangle(m: int) -> list[tuple[int, int]]:
@@ -254,63 +255,54 @@ def _upper_triangle(m: int) -> list[tuple[int, int]]:
 
 def _chunk(items: list[tuple[int, int]], n_chunks: int) -> list[list[tuple[int, int]]]:
     """Split into up to ``n_chunks`` contiguous, order-preserving chunks."""
+    if not items:
+        return []
     n_chunks = max(1, min(n_chunks, len(items)))
     step = -(-len(items) // n_chunks)
     return [items[k : k + step] for k in range(0, len(items), step)]
 
 
-def _pair_counts_dense(
-    bucket_rows: npt.NDArray[np.signedinteger[Any]],
-) -> PairCountsMatrix:
-    """Classify all pairs at once via four sign-tensor matrix products.
+def _map_row_pairs(
+    worker: Callable[[_Task], list[_R]],
+    source: _Rows,
+    jobs: int | None,
+) -> tuple[list[list[tuple[int, int]]], list[list[_R]]]:
+    """Run a chunk worker over every row pair (i < j) of ``source``.
 
-    Per ranking ``r`` build the flattened n×n sign tensor
-    ``S[r, i·n+j] = sign(bucket_r(i) − bucket_r(j))``, its magnitude
-    ``A = |S|`` and tie indicator ``Z = 1 − A``. Then, writing C/D/S/T/B
-    for the five pair categories over *unordered* pairs,
-
-        S·Sᵀ = 2(C − D),   A·Aᵀ = 2(C + D),   Z·Aᵀ = 2|S|,   Z·Zᵀ = 2B + n.
-
-    Every entry is an integer far below 2⁵³, so the float64 products are
-    exact and the final rounding is a formality.
+    Returns the chunks and their results, in order. An arena ``source``
+    dispatches zero-copy: pooled tasks ship only its handle.
     """
-    m, n = bucket_rows.shape
-    sign = sign_tensor(bucket_rows)
-    strict = np.abs(sign)
-    tied = 1.0 - strict
-    g_ss = sign @ sign.T
-    g_aa = strict @ strict.T
-    g_za = tied @ strict.T
-    g_zz = tied @ tied.T
-    discordant = np.rint((g_aa - g_ss) / 4.0).astype(np.int64)
-    concordant = np.rint((g_aa + g_ss) / 4.0).astype(np.int64)
-    tied_first_only = np.rint(g_za / 2.0).astype(np.int64)
-    tied_both = np.rint((g_zz - n) / 2.0).astype(np.int64)
-    return PairCountsMatrix(
-        discordant=discordant,
-        tied_first_only=tied_first_only,
-        tied_both=tied_both,
-        concordant=concordant,
-    )
+    chunks = _chunk(_upper_triangle(len(source)), resolve_jobs(jobs))
+    if isinstance(source, ProfileArena):
+        return chunks, parallel_map_arena(worker, chunks, source, jobs=jobs)
+    return chunks, parallel_map(worker, [(source, chunk) for chunk in chunks], jobs=jobs)
 
 
 def _pair_counts_dense_tiled(
     bucket_rows: npt.NDArray[np.signedinteger[Any]],
+    tile: int | None = None,
 ) -> PairCountsMatrix:
-    """The dense classifier, cache-blocked over item tiles.
+    """Classify all pairs via four sign-tensor matrix products, tiled.
 
-    Identical math to :func:`_pair_counts_dense`, but the ``(m, n·n)``
-    sign tensor is never materialized: item indices ``i`` are processed in
-    tiles sized so each partial tensor stays within ``_DENSE_BUDGET``
-    elements, and the four gram matrices accumulate per-tile products.
-    Each partial product is an exact integer in float64 and integer
-    addition in float64 is exact below 2⁵³, so the accumulated grams —
-    and therefore the final counts — are **bit-identical** to the untiled
-    strategy at any tile size (``relation:tiled-gemm-agreement`` and the
-    pair-counts oracle assert this).
+    For each ranking ``r`` the flattened n×n sign tensor
+    ``S[r, i·n+j] = sign(bucket_r(i) − bucket_r(j))``, its magnitude
+    ``A = |S|`` and tie indicator ``Z = 1 − A`` give, writing C/D/S/T/B
+    for the five pair categories over *unordered* pairs,
+
+        S·Sᵀ = 2(C − D),   A·Aᵀ = 2(C + D),   Z·Aᵀ = 2|S|,   Z·Zᵀ = 2B + n.
+
+    The tensors are built for ``tile`` item indices ``i`` at a time —
+    by default as many as keep each partial tensor within
+    ``_DENSE_BUDGET`` elements, so small profiles take one tile — and
+    the four gram matrices accumulate the per-tile products. Every
+    partial product is an exact integer in float64 and integer addition
+    in float64 is exact below 2⁵³, so the counts are **bit-identical**
+    at any tile width (``relation:tiled-gemm-agreement`` forces widths 1
+    and 3 against one tile and the per-pair kernel).
     """
     m, n = bucket_rows.shape
-    tile = max(1, _DENSE_BUDGET // max(1, m * n))
+    if tile is None:
+        tile = max(1, _DENSE_BUDGET // max(1, m * n))
     g_ss = np.zeros((m, m), dtype=np.float64)
     g_aa = np.zeros((m, m), dtype=np.float64)
     g_za = np.zeros((m, m), dtype=np.float64)
@@ -342,14 +334,6 @@ def _pair_counts_dense_tiled(
     )
 
 
-def _classify_chunk_arena(
-    arena: ProfileArena, index_pairs: list[tuple[int, int]]
-) -> list[tuple[int, int]]:
-    """Arena worker twin of :func:`_classify_chunk`: rows come from shm."""
-    rows = arena.bucket_rows
-    return [_classify_rows(rows[i], rows[j]) for i, j in index_pairs]
-
-
 def _pair_counts_pairs(
     bucket_rows: npt.NDArray[np.signedinteger[Any]],
     jobs: int | None,
@@ -363,14 +347,9 @@ def _pair_counts_pairs(
     m, n = bucket_rows.shape
     total = pairs(n)
     tied = _tied_per_ranking(bucket_rows)
-    index_pairs = _upper_triangle(m)
-    chunks = _chunk(index_pairs, resolve_jobs(jobs))
-    if arena is not None:
-        results = parallel_map_arena(_classify_chunk_arena, chunks, arena, jobs=jobs)
-    else:
-        results = parallel_map(
-            _classify_chunk, [(bucket_rows, chunk) for chunk in chunks], jobs=jobs
-        )
+    chunks, results = _map_row_pairs(
+        _classify_chunk, bucket_rows if arena is None else arena, jobs
+    )
 
     discordant = np.zeros((m, m), dtype=np.int64)
     tied_first_only = np.zeros((m, m), dtype=np.int64)
@@ -399,49 +378,34 @@ def _pair_counts_pairs(
 def pair_counts_matrix(
     rankings: Profile,
     *,
-    strategy: str = "auto",
     jobs: int | None = None,
 ) -> PairCountsMatrix:
     """All-pairs pair-category counts for a profile.
 
-    ``strategy='dense'`` forces the sign-tensor gemm path (O(m·n²) memory),
-    ``'tiled'`` the cache-blocked gemm path (O(m·n) memory per tile, same
-    math), ``'pairs'`` the per-pair lexsort/merge path. ``'auto'`` picks
-    dense below ``_DENSE_BUDGET`` tensor elements, tiled up to
-    ``_TILED_BUDGET``, pairs beyond. All strategies produce identical
-    matrices — bit for bit; the test suite and
+    Profiles with m·n² up to ``_TILED_BUDGET`` are classified by the
+    tiled sign-tensor GEMM (:func:`_pair_counts_dense_tiled`, one tile
+    while m·n² stays within ``_DENSE_BUDGET``); larger ones by the
+    per-pair lexsort/merge kernel (:func:`_pair_counts_pairs`), which
+    ``jobs`` spreads over a process pool. Both produce identical
+    matrices, bit for bit; the test suite and
     ``relation:tiled-gemm-agreement`` assert it. ``rankings`` may be a
     sequence of rankings or a :class:`~repro.core.arena.ProfileArena`.
     """
     arena = rankings if isinstance(rankings, ProfileArena) else None
     bucket_rows = _profile_bucket_rows(rankings)
     m, n = bucket_rows.shape
-    if strategy == "auto":
-        work = m * n * n
-        if work <= _DENSE_BUDGET:
-            strategy = "dense"
-        elif work <= _TILED_BUDGET:
-            strategy = "tiled"
-        else:
-            strategy = "pairs"
-    if strategy not in ("dense", "tiled", "pairs"):
-        raise ValueError(
-            f"unknown strategy {strategy!r}; expected 'auto', 'dense', 'tiled' or 'pairs'"
-        )
+    tiled = m * n * n <= _TILED_BUDGET
     if not obs.enabled():
-        if strategy == "dense":
-            return _pair_counts_dense(bucket_rows)
-        if strategy == "tiled":
+        if tiled:
             return _pair_counts_dense_tiled(bucket_rows)
         return _pair_counts_pairs(bucket_rows, jobs, arena)
+    strategy = "tiled" if tiled else "pairs"
     with obs.trace("metrics.batch.pair_counts_matrix", m=m, n=n, strategy=strategy):
-        # every strategy classifies all n-choose-2 item pairs of each of
-        # the m rankings' pairings, i.e. m·n(n−1)/2 pair slots per role
+        # both kernels classify all n-choose-2 item pairs of each of the
+        # m rankings' pairings, i.e. m·n(n−1)/2 pair slots per role
         obs.add("metrics.batch.pairs", m * pairs(n))
         obs.add("metrics.batch.ranking_pairs", pairs(m))
-        if strategy == "dense":
-            return _pair_counts_dense(bucket_rows)
-        if strategy == "tiled":
+        if tiled:
             return _pair_counts_dense_tiled(bucket_rows)
         return _pair_counts_pairs(bucket_rows, jobs, arena)
 
@@ -451,14 +415,17 @@ def pair_counts_matrix(
 # ----------------------------------------------------------------------
 
 
-def _footrule_chunk(
-    task: tuple[npt.NDArray[np.float64], list[tuple[int, int]]],
-) -> list[float]:
-    """Pool worker: F_prof for a chunk of (i, j) index pairs."""
-    position_rows, index_pairs = task
-    return [
-        float(np.abs(position_rows[i] - position_rows[j]).sum()) for i, j in index_pairs
-    ]
+def _l1_chunk(task: _Task) -> list[float]:
+    """Pool worker: L1 gaps between value rows for a chunk of index pairs.
+
+    The rows are positions for F_prof (an arena supplies its exact
+    float64 decode) and the plugins' transformed position rows. Every
+    value is a dyadic rational far from 2⁵³, so each sum is exact in any
+    order.
+    """
+    source, index_pairs = task
+    rows = _rows(source, "positions")
+    return [float(np.abs(rows[i] - rows[j]).sum()) for i, j in index_pairs]
 
 
 def _fhaus_rows(
@@ -484,48 +451,20 @@ def _fhaus_rows(
     return max(f_1, f_2)
 
 
-def _fhaus_chunk(
-    task: tuple[npt.NDArray[np.int64], list[tuple[int, int]]],
-) -> list[float]:
-    """Pool worker: F_Haus for a chunk of (i, j) index pairs."""
-    bucket_rows, index_pairs = task
-    return [_fhaus_rows(bucket_rows[i], bucket_rows[j]) for i, j in index_pairs]
-
-
-def _footrule_chunk_arena(
-    arena: ProfileArena, index_pairs: list[tuple[int, int]]
-) -> list[float]:
-    """Arena worker: F_prof over the integer half-position fast path.
-
-    ``|pos_i − pos_j| = ½·|half_i − half_j|``: the differences are taken
-    in int64 (the storage may be int32 — accumulating there could
-    overflow, and RP014 would rightly flag it) and halved once at the
-    end. Every float64 sum of half-integers in the object path is exact,
-    so the two paths agree bit for bit.
-    """
-    half = arena.half_position_rows
-    out: list[float] = []
-    for i, j in index_pairs:
-        diff = half[i].astype(np.int64) - half[j].astype(np.int64)
-        out.append(float(np.abs(diff).sum()) * 0.5)
-    return out
-
-
-def _fhaus_chunk_arena(
-    arena: ProfileArena, index_pairs: list[tuple[int, int]]
-) -> list[float]:
-    """Arena worker twin of :func:`_fhaus_chunk`."""
-    rows = arena.bucket_rows
+def _fhaus_chunk(task: _Task) -> list[float]:
+    """Pool worker: F_Haus for a chunk of index pairs of bucket rows."""
+    source, index_pairs = task
+    rows = _rows(source, "bucket_rows")
     return [_fhaus_rows(rows[i], rows[j]) for i, j in index_pairs]
 
 
-def _symmetric_from_chunks(
-    m: int,
-    chunks: list[list[tuple[int, int]]],
-    results: list[list[float]],
+def _symmetric_matrix(
+    worker: Callable[[_Task], list[float]], source: _Rows, jobs: int | None
 ) -> npt.NDArray[np.float64]:
+    """The m×m symmetric, zero-diagonal matrix of a float chunk worker."""
+    m = len(source)
     matrix = np.zeros((m, m), dtype=np.float64)
-    for chunk, values in zip(chunks, results):
+    for chunk, values in zip(*_map_row_pairs(worker, source, jobs)):
         for (i, j), value in zip(chunk, values):
             matrix[i, j] = matrix[j, i] = value
     return matrix
@@ -541,7 +480,6 @@ def pairwise_distance_matrix(
     metric: str = "kendall",
     *,
     p: float = 0.5,
-    strategy: str = "auto",
     jobs: int | None = None,
 ) -> npt.NDArray[np.float64]:
     """The m×m distance matrix of a profile under one of the four metrics.
@@ -554,10 +492,8 @@ def pairwise_distance_matrix(
     ``weighted_footrule``, ``top_difference``). Unknown names raise the
     registry's shared :class:`~repro.errors.UnknownMetricError` listing
     all registered spellings. ``p`` applies to the Kendall metric only;
-    ``strategy`` to the Kendall-family pair classification (see
-    :func:`pair_counts_matrix`; plugin kernels choose their own strategy
-    and ignore it); ``jobs`` spreads the per-pair code paths over a
-    process pool (:mod:`repro.parallel`). ``rankings`` may be a sequence
+    ``jobs`` spreads the per-pair code paths over a process pool
+    (:mod:`repro.parallel`). ``rankings`` may be a sequence
     of rankings or a :class:`~repro.core.arena.ProfileArena`, in which
     case pooled workers map the profile zero-copy instead of unpickling
     rows.
@@ -570,9 +506,7 @@ def pairwise_distance_matrix(
 
     if not obs.enabled():
         if plugin.builtin:
-            return _pairwise_distance_matrix_impl(
-                rankings, canonical, p=p, strategy=strategy, jobs=jobs
-            )
+            return _pairwise_distance_matrix_impl(rankings, canonical, p=p, jobs=jobs)
         return plugin.batch(rankings, p=p, jobs=jobs)
     with obs.trace(
         "metrics.batch.pairwise_distance_matrix", metric=canonical, m=len(rankings)
@@ -585,9 +519,7 @@ def pairwise_distance_matrix(
             # pair_counts_matrix; counting here too would double-book
             obs.add("metrics.batch.ranking_pairs", pairs(len(rankings)))
         if plugin.builtin:
-            return _pairwise_distance_matrix_impl(
-                rankings, canonical, p=p, strategy=strategy, jobs=jobs
-            )
+            return _pairwise_distance_matrix_impl(rankings, canonical, p=p, jobs=jobs)
         return plugin.batch(rankings, p=p, jobs=jobs)
 
 
@@ -596,39 +528,20 @@ def _pairwise_distance_matrix_impl(
     canonical: str,
     *,
     p: float,
-    strategy: str,
     jobs: int | None,
 ) -> npt.NDArray[np.float64]:
     if canonical == "kendall":
-        counts = pair_counts_matrix(rankings, strategy=strategy, jobs=jobs)
-        return counts.kendall(p)
+        return pair_counts_matrix(rankings, jobs=jobs).kendall(p)
     if canonical == "kendall_hausdorff":
-        counts = pair_counts_matrix(rankings, strategy=strategy, jobs=jobs)
+        counts = pair_counts_matrix(rankings, jobs=jobs)
         return counts.kendall_hausdorff().astype(np.float64)
-
     arena = rankings if isinstance(rankings, ProfileArena) else None
-    m = len(rankings)
-    index_pairs = _upper_triangle(m)
-    chunks = _chunk(index_pairs, resolve_jobs(jobs))
     if canonical == "footrule":
-        if arena is not None:
-            results = parallel_map_arena(_footrule_chunk_arena, chunks, arena, jobs=jobs)
-        else:
-            position_rows = _profile_position_rows(rankings)
-            results = parallel_map(
-                _footrule_chunk, [(position_rows, chunk) for chunk in chunks], jobs=jobs
-            )
-    else:  # footrule_hausdorff
-        if arena is not None:
-            results = parallel_map_arena(_fhaus_chunk_arena, chunks, arena, jobs=jobs)
-        else:
-            bucket_rows = bucket_index_matrix(
-                rankings, DomainCodec.for_profile(rankings)
-            )
-            results = parallel_map(
-                _fhaus_chunk, [(bucket_rows, chunk) for chunk in chunks], jobs=jobs
-            )
-    return _symmetric_from_chunks(m, chunks, results)
+        rows = arena if arena is not None else _profile_position_rows(rankings)
+        return _symmetric_matrix(_l1_chunk, rows, jobs)
+    # footrule_hausdorff
+    rows = arena if arena is not None else _profile_bucket_rows(rankings)
+    return _symmetric_matrix(_fhaus_chunk, rows, jobs)
 
 
 # ----------------------------------------------------------------------
@@ -640,15 +553,9 @@ def _builtin_batch(canonical: str) -> Any:
     """The registry-facing batch kernel of one built-in metric."""
 
     def call(
-        profile: Profile,
-        *,
-        p: float = 0.5,
-        strategy: str = "auto",
-        jobs: int | None = None,
+        profile: Profile, *, p: float = 0.5, jobs: int | None = None
     ) -> npt.NDArray[np.float64]:
-        return _pairwise_distance_matrix_impl(
-            profile, canonical, p=p, strategy=strategy, jobs=jobs
-        )
+        return _pairwise_distance_matrix_impl(profile, canonical, p=p, jobs=jobs)
 
     return call
 

@@ -40,15 +40,14 @@ from repro import obs
 from repro.analysis.contracts import checked_metric
 from repro.core.partial_ranking import PartialRanking
 from repro.errors import DomainMismatchError, InvalidRankingError
+from repro._util import pairs
 from repro.metrics.batch import (
     Profile,
-    _chunk,
+    _l1_chunk,
     _profile_position_rows,
-    _symmetric_from_chunks,
-    _upper_triangle,
+    _symmetric_matrix,
 )
 from repro.metrics.registry import MetricPlugin, register_metric
-from repro.parallel import parallel_map, resolve_jobs
 
 __all__ = [
     "ALPHA_SCALE",
@@ -176,16 +175,6 @@ def top_difference_naive(
     return total_units / ALPHA_SCALE
 
 
-def _td_chunk(
-    task: tuple[npt.NDArray[np.float64], list[tuple[int, int]]],
-) -> list[float]:
-    """Pool worker: TD for a chunk of (i, j) index pairs."""
-    value_rows, index_pairs = task
-    return [
-        float(np.abs(value_rows[i] - value_rows[j]).sum()) for i, j in index_pairs
-    ]
-
-
 def top_difference_matrix(
     profile: Profile,
     *,
@@ -208,19 +197,11 @@ def top_difference_matrix(
     table = alpha_prefix(n, alphas)
     ceilings = ((2.0 * positions).astype(np.int64) + 1) // 2
     value_rows = table[ceilings - 1]
-    index_pairs = _upper_triangle(m)
-    chunks = _chunk(index_pairs, resolve_jobs(jobs))
     if not obs.enabled():
-        results = parallel_map(
-            _td_chunk, [(value_rows, chunk) for chunk in chunks], jobs=jobs
-        )
-        return _symmetric_from_chunks(m, chunks, results)
+        return _symmetric_matrix(_l1_chunk, value_rows, jobs)
     with obs.trace("metrics.plugins.top_difference_matrix", m=m, n=n):
-        obs.add("metrics.plugins.top_difference.pairs", len(index_pairs))
-        results = parallel_map(
-            _td_chunk, [(value_rows, chunk) for chunk in chunks], jobs=jobs
-        )
-        return _symmetric_from_chunks(m, chunks, results)
+        obs.add("metrics.plugins.top_difference.pairs", pairs(m))
+        return _symmetric_matrix(_l1_chunk, value_rows, jobs)
 
 
 def max_top_difference(n: int) -> float:

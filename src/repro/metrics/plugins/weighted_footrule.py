@@ -34,15 +34,14 @@ from repro import obs
 from repro.analysis.contracts import checked_metric
 from repro.core.partial_ranking import PartialRanking
 from repro.errors import DomainMismatchError, InvalidRankingError
+from repro._util import pairs
 from repro.metrics.batch import (
     Profile,
-    _chunk,
+    _l1_chunk,
     _profile_position_rows,
-    _symmetric_from_chunks,
-    _upper_triangle,
+    _symmetric_matrix,
 )
 from repro.metrics.registry import MetricPlugin, register_metric
-from repro.parallel import parallel_map, resolve_jobs
 
 __all__ = [
     "WEIGHT_SCALE",
@@ -186,16 +185,6 @@ def weighted_footrule_naive(
     return total2 / (2 * WEIGHT_SCALE)
 
 
-def _wf_chunk(
-    task: tuple[npt.NDArray[np.float64], list[tuple[int, int]]],
-) -> list[float]:
-    """Pool worker: WF for a chunk of (i, j) index pairs."""
-    value_rows, index_pairs = task
-    return [
-        float(np.abs(value_rows[i] - value_rows[j]).sum()) for i, j in index_pairs
-    ]
-
-
 def weighted_footrule_matrix(
     profile: Profile,
     *,
@@ -218,19 +207,11 @@ def weighted_footrule_matrix(
     m, n = positions.shape
     table = weight_table(n, weights)
     value_rows = _value_rows(positions, table)
-    index_pairs = _upper_triangle(m)
-    chunks = _chunk(index_pairs, resolve_jobs(jobs))
     if not obs.enabled():
-        results = parallel_map(
-            _wf_chunk, [(value_rows, chunk) for chunk in chunks], jobs=jobs
-        )
-        return _symmetric_from_chunks(m, chunks, results)
+        return _symmetric_matrix(_l1_chunk, value_rows, jobs)
     with obs.trace("metrics.plugins.weighted_footrule_matrix", m=m, n=n):
-        obs.add("metrics.plugins.weighted_footrule.pairs", len(index_pairs))
-        results = parallel_map(
-            _wf_chunk, [(value_rows, chunk) for chunk in chunks], jobs=jobs
-        )
-        return _symmetric_from_chunks(m, chunks, results)
+        obs.add("metrics.plugins.weighted_footrule.pairs", pairs(m))
+        return _symmetric_matrix(_l1_chunk, value_rows, jobs)
 
 
 def max_weighted_footrule(n: int) -> float:

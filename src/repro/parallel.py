@@ -131,10 +131,26 @@ def parallel_map(
     n_jobs = min(resolve_jobs(jobs), len(work)) if work else 1
     if n_jobs <= 1:
         return [fn(item) for item in work]
+    return _pool_map(fn, work, n_jobs, chunksize, "parallel.map")
+
+
+def _pool_map(
+    fn: Callable[[_T], _R],
+    work: Sequence[_T],
+    n_jobs: int,
+    chunksize: int,
+    span: str,
+    **attrs: Any,
+) -> list[_R]:
+    """Run ``fn`` over ``work`` on ``n_jobs`` processes, in input order.
+
+    Under an active trace session each task runs through
+    :func:`_traced_worker` and its spans are grafted under one ``span``.
+    """
     if not _spans.enabled():
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             return list(pool.map(fn, work, chunksize=max(1, chunksize)))
-    with _spans.trace("parallel.map", jobs=n_jobs, items=len(work)):
+    with _spans.trace(span, jobs=n_jobs, items=len(work), **attrs):
         payloads = [(fn, item) for item in work]
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             shipped = list(
@@ -144,7 +160,7 @@ def parallel_map(
 
 
 def _graft_worker_spans(shipped: list[tuple[_R, list[dict[str, Any]]]]) -> list[_R]:
-    """Re-attach pickled worker spans under the live ``parallel.map`` span.
+    """Re-attach pickled worker spans under the live pool span.
 
     Worker pids are mapped to stable 0-based worker ids in order of first
     appearance, so trace output is deterministic across pool scheduling.
@@ -178,39 +194,29 @@ def _worker_arena(handle: "ArenaHandle") -> "ProfileArena":
 
 
 def _arena_worker(
-    payload: tuple["ArenaHandle", Callable[["ProfileArena", _T], _R], _T],
+    payload: tuple["ArenaHandle", Callable[[tuple["ProfileArena", _T]], _R], _T],
 ) -> _R:
     handle, fn, item = payload
-    return fn(_worker_arena(handle), item)
-
-
-def _traced_arena_worker(
-    payload: tuple["ArenaHandle", Callable[["ProfileArena", _T], _R], _T],
-) -> tuple[_R, list[dict[str, Any]]]:
-    """Arena variant of :func:`_traced_worker`: same span capture protocol."""
-    handle, fn, item = payload
-    _spans._LOCAL.stack.clear()
-    with _spans.capture() as sess:
-        result = fn(_worker_arena(handle), item)
-    return result, [span.to_dict() for span in sess.roots]
+    return fn((_worker_arena(handle), item))
 
 
 def parallel_map_arena(
-    fn: Callable[["ProfileArena", _T], _R],
+    fn: Callable[[tuple["ProfileArena", _T]], _R],
     items: Iterable[_T],
     arena: "ProfileArena",
     *,
     jobs: int | None = None,
     chunksize: int = 1,
 ) -> list[_R]:
-    """``[fn(arena, x) for x in items]`` with zero-copy worker dispatch.
+    """``[fn((arena, x)) for x in items]`` with zero-copy worker dispatch.
 
-    The arena-aware twin of :func:`parallel_map`: instead of pickling
-    profile rows into every task, each task ships only the
-    :class:`~repro.core.arena.ArenaHandle` (a segment name and a shape)
-    and the worker maps the shared-memory matrices in place — first task
-    pays one ``mmap``, later tasks reuse it. ``fn`` receives the
-    process-local arena as its first argument and must treat it as
+    The arena-aware form of :func:`parallel_map`: ``fn`` is the same
+    single-argument worker, called on ``(arena, item)`` tasks. Instead of
+    pickling profile rows into every task, each pooled task ships only
+    the :class:`~repro.core.arena.ArenaHandle` (a segment name and a
+    shape), and the worker maps the shared-memory matrices in place —
+    first task pays one ``mmap``, later tasks reuse it — before calling
+    ``fn`` with its process-local arena, which ``fn`` must treat as
     read-only. Results come back in input order; the serial path calls
     ``fn`` with the caller's own arena, so ``jobs`` levels are required
     (and tested) to agree bit for bit.
@@ -218,17 +224,14 @@ def parallel_map_arena(
     work: Sequence[_T] = items if isinstance(items, Sequence) else list(items)
     n_jobs = min(resolve_jobs(jobs), len(work)) if work else 1
     if n_jobs <= 1:
-        return [fn(arena, item) for item in work]
+        return [fn((arena, item)) for item in work]
     handle = arena.handle()
     payloads = [(handle, fn, item) for item in work]
-    if not _spans.enabled():
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            return list(pool.map(_arena_worker, payloads, chunksize=max(1, chunksize)))
-    with _spans.trace(
-        "parallel.map_arena", jobs=n_jobs, items=len(work), arena_bytes=handle.nbytes
-    ):
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            shipped = list(
-                pool.map(_traced_arena_worker, payloads, chunksize=max(1, chunksize))
-            )
-        return _graft_worker_spans(shipped)
+    return _pool_map(
+        _arena_worker,
+        payloads,
+        n_jobs,
+        chunksize,
+        "parallel.map_arena",
+        arena_bytes=handle.nbytes,
+    )

@@ -9,6 +9,8 @@ continuously executable harness:
 * :mod:`repro.verify.oracles` — the oracle registry: reference
   implementations paired with their fast/batch/parallel variants;
 * :mod:`repro.verify.relations` — paper theorems as metamorphic checks;
+* :mod:`repro.verify.reference` — the plain reference implementations
+  (dict medians, Python Held–Karp) kept only as oracles;
 * :mod:`repro.verify.registry` — the flat check namespace and runner;
 * :mod:`repro.verify.fuzz` — the seeded fuzz driver over
   :mod:`repro.generators` workloads;

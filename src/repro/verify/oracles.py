@@ -5,7 +5,8 @@ An :class:`OracleEntry` is a differential-testing unit: one independent,
 deliberately naive computation of a quantity (O(n²) loops over positions,
 or the exponential Hausdorff enumeration) plus the list of production code
 paths that promise to agree with it bit for bit — the Fenwick/array
-kernels, the dense/pairs matrix strategies, and the process-pool variants.
+kernels, the one-tile/many-tile/per-pair matrix kernels, and the
+process-pool variants.
 The fuzz driver (:mod:`repro.verify.fuzz`) evaluates every variant of
 every entry on generated workloads and reports any disagreement.
 
@@ -52,7 +53,14 @@ from repro.core.codec import DomainCodec
 from repro.core.partial_ranking import PartialRanking
 from repro.core.refine import common_full_ranking, star
 from repro.db.mmap_lists import SortedListStore
-from repro.metrics.batch import pair_counts_matrix, pairwise_distance_matrix
+from repro.metrics.batch import (
+    PairCountsMatrix,
+    _pair_counts_dense_tiled,
+    _pair_counts_pairs,
+    _profile_bucket_rows,
+    pair_counts_matrix,
+    pairwise_distance_matrix,
+)
 from repro.metrics.fast import (
     count_inversions_array,
     kendall_hausdorff_large,
@@ -81,6 +89,13 @@ from repro.metrics.normalized import (
     normalized_footrule_hausdorff,
     normalized_kendall,
     normalized_kendall_hausdorff,
+)
+from repro.verify.reference import (
+    median_fixed_type_dict,
+    median_full_ranking_dict,
+    median_partial_ranking_dict,
+    median_scores_dict,
+    median_top_k_dict,
 )
 
 __all__ = [
@@ -245,9 +260,32 @@ def _pair_kendall(fn: Callable[..., float], p: float) -> _OracleFn:
     return call
 
 
-def _matrix_entry_pair_counts(strategy: str) -> _OracleFn:
+def _pair_counts_kernel(
+    kernel: str, tile: int | None = None, jobs: int | None = None
+) -> Callable[[Rankings], PairCountsMatrix]:
+    """All-pairs classification through one kernel, regardless of size.
+
+    ``kernel`` is ``"public"`` (:func:`pair_counts_matrix` picks),
+    ``"tiled"`` (``tile=None`` is one tile on every oracle-sized
+    profile; a small ``tile`` forces many) or ``"pairs"``.
+    """
+
+    def classify(rankings: Rankings) -> PairCountsMatrix:
+        if kernel == "public":
+            return pair_counts_matrix(rankings, jobs=jobs)
+        rows = _profile_bucket_rows(rankings)
+        if kernel == "pairs":
+            return _pair_counts_pairs(rows, jobs)
+        return _pair_counts_dense_tiled(rows, tile)
+
+    return classify
+
+
+def _matrix_entry_pair_counts(kernel: str, tile: int | None = None) -> _OracleFn:
+    classify = _pair_counts_kernel(kernel, tile)
+
     def call(rankings: Rankings) -> object:
-        return pair_counts_matrix(rankings[:2], strategy=strategy).pair_counts(0, 1)
+        return classify(rankings[:2]).pair_counts(0, 1)
 
     return call
 
@@ -303,9 +341,24 @@ def _profile_matrix_reference(
     return call
 
 
-def _profile_matrix_variant(metric: str, strategy: str, jobs: int | None) -> _OracleFn:
+def _profile_matrix_variant(metric: str, jobs: int | None) -> _OracleFn:
     def call(rankings: Rankings) -> object:
-        return pairwise_distance_matrix(rankings, metric, strategy=strategy, jobs=jobs)
+        return pairwise_distance_matrix(rankings, metric, jobs=jobs)
+
+    return call
+
+
+def _kendall_matrix_kernel(
+    metric: str, kernel: str, tile: int | None = None, jobs: int | None = None
+) -> _OracleFn:
+    """A Kendall-family matrix from one classification kernel."""
+    classify = _pair_counts_kernel(kernel, tile, jobs)
+
+    def call(rankings: Rankings) -> object:
+        counts = classify(rankings)
+        if metric == "kendall":
+            return counts.kendall(0.5)
+        return counts.kendall_hausdorff().astype(np.float64)
 
     return call
 
@@ -374,7 +427,7 @@ def _kemeny_decomposed_objective(jobs: int | None) -> _OracleFn:
     return call
 
 
-# -- median aggregation: dict reference engine vs array kernels ---------
+# -- median aggregation: dict reference vs array kernels ----------------
 
 _MEDIAN_TIES = ("low", "mid", "high")
 
@@ -384,82 +437,90 @@ def _deterministic_weights(count: int) -> list[float]:
     return [1.0 + (index % 4) * 0.25 for index in range(count)]
 
 
-def _median_scores_engine(engine: str, weighted: bool) -> _OracleFn:
+#: The median computations under differential test: the dict reference,
+#: the public entry points, and the position-matrix kernels (which the
+#: ``arena`` variants also feed a shared-memory profile).
+_MEDIAN_PATHS = {
+    "dict": (
+        median_scores_dict,
+        median_top_k_dict,
+        median_full_ranking_dict,
+        median_partial_ranking_dict,
+        median_fixed_type_dict,
+    ),
+    "public": (
+        median_scores,
+        median_top_k,
+        median_full_ranking,
+        median_partial_ranking,
+        median_fixed_type,
+    ),
+    "array": (
+        median_scores_batch,
+        median_top_k_batch,
+        median_full_ranking_batch,
+        median_partial_ranking_batch,
+        median_fixed_type_batch,
+    ),
+}
+
+
+def _on_profile(rankings: Rankings, arena: bool, fn: Callable[..., object]) -> object:
+    """``fn(profile)`` on the rankings or on a shared-memory copy of them."""
+    if not arena:
+        return fn(rankings)
+    with ProfileArena.from_profile(rankings) as shared:
+        return fn(shared)
+
+
+def _median_scores_variant(path: str, weighted: bool) -> _OracleFn:
+    """All three tie rules through one median path (``arena``: the
+    kernels over a :class:`~repro.core.arena.ProfileArena`)."""
+    scores = _MEDIAN_PATHS["array" if path == "arena" else path][0]
+
     def call(rankings: Rankings) -> object:
         weights = _deterministic_weights(len(rankings)) if weighted else None
-        if engine == "array":
-            return tuple(
-                median_scores_batch(rankings, tie=tie, weights=weights)
-                for tie in _MEDIAN_TIES
-            )
-        return tuple(
-            median_scores(rankings, tie=tie, weights=weights, engine="dict")
-            for tie in _MEDIAN_TIES
+        return _on_profile(
+            rankings,
+            path == "arena",
+            lambda profile: tuple(
+                scores(profile, tie=tie, weights=weights) for tie in _MEDIAN_TIES
+            ),
         )
 
     return call
 
 
-def _median_outputs_engine(engine: str) -> _OracleFn:
-    """Theorem 9/10/11 + Corollary 30 outputs under one engine.
-
-    ``engine="arena"`` runs the array kernels but feeds them the profile
-    through a shared-memory :class:`~repro.core.arena.ProfileArena`
-    instead of the object sequence.
-    """
+def _median_outputs_variant(path: str) -> _OracleFn:
+    """Theorem 9/10/11 + Corollary 30 outputs through one median path."""
+    _, top_k, full, partial, fixed = _MEDIAN_PATHS["array" if path == "arena" else path]
 
     def call(rankings: Rankings) -> object:
         n = len(rankings[0])
         k = (n + 1) // 2
         head = (n + 1) // 2
         bucket_type = (head, n - head) if n > head else (n,)
-        if engine == "arena":
-            with ProfileArena.from_profile(rankings) as arena:
-                return (
-                    median_top_k_batch(arena, k),
-                    median_full_ranking_batch(arena),
-                    median_partial_ranking_batch(arena),
-                    median_fixed_type_batch(arena, bucket_type),
-                )
-        if engine == "array":
-            return (
-                median_top_k_batch(rankings, k),
-                median_full_ranking_batch(rankings),
-                median_partial_ranking_batch(rankings),
-                median_fixed_type_batch(rankings, bucket_type),
-            )
-        return (
-            median_top_k(rankings, k, engine="dict"),
-            median_full_ranking(rankings, engine="dict"),
-            median_partial_ranking(rankings, engine="dict"),
-            median_fixed_type(rankings, bucket_type, engine="dict"),
+        return _on_profile(
+            rankings,
+            path == "arena",
+            lambda profile: (
+                top_k(profile, k),
+                full(profile),
+                partial(profile),
+                fixed(profile, bucket_type),
+            ),
         )
 
     return call
 
 
-def _median_scores_arena(weighted: bool) -> _OracleFn:
-    """Arena-backed twin of the ``array`` engine in :func:`_median_scores_engine`."""
-
-    def call(rankings: Rankings) -> object:
-        weights = _deterministic_weights(len(rankings)) if weighted else None
-        with ProfileArena.from_profile(rankings) as arena:
-            return tuple(
-                median_scores_batch(arena, tie=tie, weights=weights)
-                for tie in _MEDIAN_TIES
-            )
-
-    return call
-
-
 def _online_reference(rankings: Rankings) -> object:
-    """Offline dict-engine scores after every prefix, then one discard."""
+    """Offline dict-reference scores after every prefix, then one discard."""
     snapshots = [
-        median_scores(rankings[: index + 1], engine="dict")
-        for index in range(len(rankings))
+        median_scores_dict(rankings[: index + 1]) for index in range(len(rankings))
     ]
     if len(rankings) > 1:
-        snapshots.append(median_scores(rankings[1:], engine="dict"))
+        snapshots.append(median_scores_dict(rankings[1:]))
     return tuple(snapshots)
 
 
@@ -549,10 +610,10 @@ def _online_update_reference(rankings: Rankings) -> object:
     snapshots = []
     for key, sigma in zip(_update_voter_keys(len(rankings)), rankings):
         voters[key] = sigma
-        snapshots.append(median_scores(list(voters.values()), engine="dict"))
+        snapshots.append(median_scores_dict(list(voters.values())))
     if len(voters) > 1:
         del voters["v0"]
-        snapshots.append(median_scores(list(voters.values()), engine="dict"))
+        snapshots.append(median_scores_dict(list(voters.values())))
     return tuple(snapshots)
 
 
@@ -589,8 +650,9 @@ def _build_entries() -> tuple[OracleEntry, ...]:
             variants=(
                 ("fenwick", _pair(pair_counts)),
                 ("array", _pair(pair_counts_large)),
-                ("matrix-dense", _matrix_entry_pair_counts("dense")),
-                ("matrix-tiled", _matrix_entry_pair_counts("tiled")),
+                ("matrix", _matrix_entry_pair_counts("public")),
+                ("matrix-one-tile", _matrix_entry_pair_counts("tiled")),
+                ("matrix-tile-1", _matrix_entry_pair_counts("tiled", tile=1)),
                 ("matrix-pairs", _matrix_entry_pair_counts("pairs")),
             ),
         ),
@@ -722,11 +784,12 @@ def _build_entries() -> tuple[OracleEntry, ...]:
             covers=("pairwise_distance_matrix", "pair_counts_matrix"),
             reference=_profile_matrix_reference(kendall),
             variants=(
-                ("auto", _profile_matrix_variant("kendall", "auto", None)),
-                ("dense", _profile_matrix_variant("kendall", "dense", None)),
-                ("tiled", _profile_matrix_variant("kendall", "tiled", None)),
-                ("pairs", _profile_matrix_variant("kendall", "pairs", None)),
-                ("pairs-jobs2", _profile_matrix_variant("kendall", "pairs", 2)),
+                ("public", _profile_matrix_variant("kendall", None)),
+                ("one-tile", _kendall_matrix_kernel("kendall", "tiled")),
+                ("tile-1", _kendall_matrix_kernel("kendall", "tiled", tile=1)),
+                ("tile-3", _kendall_matrix_kernel("kendall", "tiled", tile=3)),
+                ("pairs", _kendall_matrix_kernel("kendall", "pairs")),
+                ("pairs-jobs2", _kendall_matrix_kernel("kendall", "pairs", jobs=2)),
             ),
             expensive=frozenset({"pairs-jobs2"}),
         ),
@@ -737,8 +800,8 @@ def _build_entries() -> tuple[OracleEntry, ...]:
             covers=("pairwise_distance_matrix",),
             reference=_profile_matrix_reference(footrule),
             variants=(
-                ("serial", _profile_matrix_variant("footrule", "auto", None)),
-                ("jobs2", _profile_matrix_variant("footrule", "auto", 2)),
+                ("serial", _profile_matrix_variant("footrule", None)),
+                ("jobs2", _profile_matrix_variant("footrule", 2)),
             ),
             expensive=frozenset({"jobs2"}),
         ),
@@ -749,8 +812,9 @@ def _build_entries() -> tuple[OracleEntry, ...]:
             covers=("pairwise_distance_matrix",),
             reference=_profile_matrix_reference(kendall_hausdorff_counts),
             variants=(
-                ("dense", _profile_matrix_variant("kendall_hausdorff", "dense", None)),
-                ("pairs", _profile_matrix_variant("kendall_hausdorff", "pairs", None)),
+                ("public", _profile_matrix_variant("kendall_hausdorff", None)),
+                ("tile-3", _kendall_matrix_kernel("kendall_hausdorff", "tiled", tile=3)),
+                ("pairs", _kendall_matrix_kernel("kendall_hausdorff", "pairs")),
             ),
         ),
         OracleEntry(
@@ -760,8 +824,8 @@ def _build_entries() -> tuple[OracleEntry, ...]:
             covers=("pairwise_distance_matrix",),
             reference=_profile_matrix_reference(footrule_hausdorff),
             variants=(
-                ("serial", _profile_matrix_variant("footrule_hausdorff", "auto", None)),
-                ("jobs2", _profile_matrix_variant("footrule_hausdorff", "auto", 2)),
+                ("serial", _profile_matrix_variant("footrule_hausdorff", None)),
+                ("jobs2", _profile_matrix_variant("footrule_hausdorff", 2)),
             ),
             expensive=frozenset({"jobs2"}),
         ),
@@ -814,34 +878,35 @@ def _build_entries() -> tuple[OracleEntry, ...]:
             kind="profile",
             citation="Lemma 8 median score function: dict gathers vs matrix kernel",
             covers=("median_scores_array", "median_scores_batch"),
-            reference=_median_scores_engine("dict", weighted=False),
-            variants=(("array", _median_scores_engine("array", weighted=False)),),
+            reference=_median_scores_variant("dict", weighted=False),
+            variants=(("public", _median_scores_variant("public", weighted=False)),),
         ),
         OracleEntry(
             name="aggregate-median-weighted",
             kind="profile",
             citation="Lemma 8W weighted-voter medians, all tie rules",
             covers=("median_scores_batch",),
-            reference=_median_scores_engine("dict", weighted=True),
+            reference=_median_scores_variant("dict", weighted=True),
             variants=(
-                ("array", _median_scores_engine("array", weighted=True)),
-                ("arena", _median_scores_arena(weighted=True)),
+                ("public", _median_scores_variant("public", weighted=True)),
+                ("arena", _median_scores_variant("arena", weighted=True)),
             ),
         ),
         OracleEntry(
             name="aggregate-median-outputs",
             kind="profile",
-            citation="Theorems 9-11 / Corollary 30 outputs: dict vs array engine",
+            citation="Theorems 9-11 / Corollary 30 outputs: dict reference vs array kernels",
             covers=(
                 "median_top_k_batch",
                 "median_full_ranking_batch",
                 "median_partial_ranking_batch",
                 "median_fixed_type_batch",
             ),
-            reference=_median_outputs_engine("dict"),
+            reference=_median_outputs_variant("dict"),
             variants=(
-                ("array", _median_outputs_engine("array")),
-                ("arena", _median_outputs_engine("arena")),
+                ("public", _median_outputs_variant("public")),
+                ("array", _median_outputs_variant("array")),
+                ("arena", _median_outputs_variant("arena")),
             ),
         ),
         OracleEntry(

@@ -1,0 +1,159 @@
+"""Reference implementations kept only as oracles for the fast paths.
+
+The library runs one implementation of each computation. The plain
+versions here restate the same definitions in the most direct way, and
+the oracle registry (:mod:`repro.verify.oracles`), the relation checks,
+the tests and the benchmarks compare the library against them bit for
+bit:
+
+* the **dict median** — Lemma 8's median score function as per-item
+  gathers plus scalar :func:`~repro.aggregate.median.median_of` calls,
+  and the Theorem 9/10/11 and Corollary 30 outputs derived from it. The
+  public ``median_*`` functions compute the same values from one
+  ``(m, n)`` position matrix (:mod:`repro.aggregate.batch`);
+* the **Python Held–Karp DP** — the per-state generator-sum recurrence
+  that :func:`repro.aggregate.kemeny._held_karp` batches into one GEMM.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Sequence
+
+import numpy as np
+import numpy.typing as npt
+
+from repro.aggregate.dp import optimal_partial_ranking
+from repro.aggregate.median import (
+    MedianTie,
+    _check_tie,
+    _median_of_checked,
+    _validated_weights,
+)
+from repro.aggregate.objective import validate_profile
+from repro.core.partial_ranking import Item, PartialRanking
+from repro.errors import AggregationError
+
+__all__ = [
+    "median_scores_dict",
+    "median_top_k_dict",
+    "median_full_ranking_dict",
+    "median_partial_ranking_dict",
+    "median_fixed_type_dict",
+    "held_karp_python",
+]
+
+
+def median_scores_dict(
+    rankings: Sequence[PartialRanking],
+    tie: MedianTie = "mid",
+    weights: Sequence[float] | None = None,
+) -> dict[Item, float]:
+    """Lemma 8's median score function, one item at a time."""
+    domain = validate_profile(rankings)
+    _check_tie(tie)
+    checked = _validated_weights(weights, len(rankings), noun="rankings")
+    return {
+        item: _median_of_checked(
+            [sigma[item] for sigma in rankings], tie, checked  # repro: noqa[RP009] — the per-item reference the position-matrix kernels are checked against
+        )
+        for item in domain
+    }
+
+
+def _order_by_scores(scores: dict[Item, float]) -> list[Item]:
+    """Items sorted by score, ties broken canonically (deterministic)."""
+    return sorted(scores, key=lambda item: (scores[item], type(item).__name__, repr(item)))
+
+
+def median_top_k_dict(
+    rankings: Sequence[PartialRanking],
+    k: int,
+    tie: MedianTie = "mid",
+    weights: Sequence[float] | None = None,
+) -> PartialRanking:
+    """Theorem 9: the first k items of the median order, then the rest."""
+    scores = median_scores_dict(rankings, tie=tie, weights=weights)
+    if not 0 < k <= len(scores):
+        raise AggregationError(f"k={k} out of range for domain of size {len(scores)}")
+    ordered = _order_by_scores(scores)
+    return PartialRanking.top_k(ordered[:k], scores.keys())
+
+
+def median_full_ranking_dict(
+    rankings: Sequence[PartialRanking],
+    tie: MedianTie = "mid",
+    weights: Sequence[float] | None = None,
+) -> PartialRanking:
+    """Theorem 11: the median order with ties broken canonically."""
+    scores = median_scores_dict(rankings, tie=tie, weights=weights)
+    return PartialRanking.from_sequence(_order_by_scores(scores))
+
+
+def median_partial_ranking_dict(
+    rankings: Sequence[PartialRanking],
+    tie: MedianTie = "mid",
+    weights: Sequence[float] | None = None,
+) -> PartialRanking:
+    """Theorem 10: the Figure 1 DP over the median scores."""
+    scores = median_scores_dict(rankings, tie=tie, weights=weights)
+    return optimal_partial_ranking(scores)
+
+
+def median_fixed_type_dict(
+    rankings: Sequence[PartialRanking],
+    bucket_type: Sequence[int],
+    tie: MedianTie = "mid",
+) -> PartialRanking:
+    """Corollary 30: the median order cut into buckets of the given sizes."""
+    scores = median_scores_dict(rankings, tie=tie)
+    if sum(bucket_type) != len(scores):
+        raise AggregationError(
+            f"type {tuple(bucket_type)} does not partition a domain of size {len(scores)}"
+        )
+    if any(size <= 0 for size in bucket_type):
+        raise AggregationError("bucket sizes must be positive")
+    ordered = _order_by_scores(scores)
+    buckets: list[list[Item]] = []
+    start = 0
+    for size in bucket_type:
+        buckets.append(ordered[start : start + size])
+        start += size
+    return PartialRanking(buckets)
+
+
+def held_karp_python(
+    cost: npt.NDArray[np.float64], n: int
+) -> tuple[list[int], float]:
+    """The Held–Karp DP with a per-state Python generator sum.
+
+    The differential twin of :func:`repro.aggregate.kemeny._held_karp`:
+    the tests and ``benchmarks/bench_kemeny.py`` assert the two agree
+    bit for bit, and the benchmark measures the GEMM path's speedup.
+    """
+    rows = cost.tolist()
+    full = 1 << n
+    infinity = float("inf")
+    dp = [infinity] * full
+    parent = [-1] * full
+    dp[0] = 0.0
+    for mask in range(full):
+        base = dp[mask]
+        if base == infinity:
+            continue
+        remaining = [i for i in range(n) if not mask & (1 << i)]
+        for x in remaining:
+            added = sum(rows[x][y] for y in remaining if y != x)
+            new_mask = mask | (1 << x)
+            candidate = base + added
+            if candidate < dp[new_mask]:
+                dp[new_mask] = candidate
+                parent[new_mask] = x
+
+    order: list[int] = []
+    mask = full - 1
+    while mask:
+        x = parent[mask]
+        order.append(x)
+        mask ^= 1 << x
+    order.reverse()
+    return order, dp[full - 1]

@@ -46,9 +46,14 @@ from repro.metrics.hausdorff import (
     hausdorff_witnesses,
     kendall_hausdorff_counts,
 )
-from repro.metrics.batch import pair_counts_matrix
+from repro.metrics.batch import (
+    _pair_counts_dense_tiled,
+    _pair_counts_pairs,
+    _profile_bucket_rows,
+)
 from repro.metrics.kendall import kendall, kendall_full, pair_counts
 from repro.verify.oracles import Rankings
+from repro.verify.reference import median_scores_dict
 
 __all__ = ["Relation", "relations"]
 
@@ -264,51 +269,59 @@ def _check_weighted_uniform_median(rankings: Rankings) -> str | None:
 
     With every voter weight equal to a constant ``c > 0`` the weighted L1
     objective is ``c`` times the unweighted one, so the minimizer sets
-    coincide — for every tie rule, and bitwise on both engines (the
-    prefix-weight crossings happen at the same indices).
+    coincide — for every tie rule, and bitwise on both the dict reference
+    and the library path (the prefix-weight crossings happen at the same
+    indices).
     """
+    paths = (("dict reference", median_scores_dict), ("library", median_scores))
     for constant in (1.0, 0.5):
         weights = [constant] * len(rankings)
         for tie in ("low", "mid", "high"):
-            plain = median_scores(rankings, tie=tie, engine="dict")
-            for engine in ("dict", "array"):
-                weighted = median_scores(
-                    rankings, tie=tie, weights=weights, engine=engine
-                )
-                if weighted != plain:
+            plain = median_scores_dict(rankings, tie=tie)
+            for path, scores in paths:
+                if scores(rankings, tie=tie, weights=weights) != plain:
                     return (
                         f"uniform weights {constant} changed the {tie} median "
-                        f"on the {engine} engine"
+                        f"on the {path} path"
                     )
     return None
 
 
-def _check_tiled_gemm_agreement(rankings: Rankings) -> str | None:
-    """The cache-blocked GEMM, the one-shot dense GEMM, and the per-pair
-    kernels classify every pair of rankings identically.
+#: Forced tile widths: one item per tile, and a width that leaves a
+#: ragged last tile on most domains.
+_FORCED_TILES = (1, 3)
 
-    All three strategies are forced on the small instance (where each is
-    affordable), and the classifications are additionally checked against
-    the object-level :func:`pair_counts` — integer quantities throughout,
-    so every comparison is exact."""
-    matrices = {
-        strategy: pair_counts_matrix(rankings, strategy=strategy)
-        for strategy in ("dense", "tiled", "pairs")
+
+def _check_tiled_gemm_agreement(rankings: Rankings) -> str | None:
+    """The GEMM classifier agrees with itself at every tile width, with the
+    per-pair kernel, and with the object metric.
+
+    On fuzz-sized profiles the default tile covers every item, so the
+    check forces widths 1 and 3 to exercise the multi-tile accumulation,
+    then compares each against the one-tile result, the per-pair kernel,
+    and the object-level :func:`pair_counts` — integer quantities
+    throughout, so every comparison is exact."""
+    rows = _profile_bucket_rows(rankings)
+    one_tile = _pair_counts_dense_tiled(rows)
+    others = {
+        f"{tile}-wide tiles": _pair_counts_dense_tiled(rows, tile)
+        for tile in _FORCED_TILES
     }
+    others["per-pair kernel"] = _pair_counts_pairs(rows, None)
     for i in range(len(rankings)):
         for j in range(i + 1, len(rankings)):
-            dense = matrices["dense"].pair_counts(i, j)
-            for strategy in ("tiled", "pairs"):
-                other = matrices[strategy].pair_counts(i, j)
-                if other != dense:
+            reference = one_tile.pair_counts(i, j)
+            for name, matrix in others.items():
+                other = matrix.pair_counts(i, j)
+                if other != reference:
                     return (
-                        f"pair ({i},{j}): {strategy} strategy classifies "
-                        f"{other}, dense GEMM classifies {dense}"
+                        f"pair ({i},{j}): the {name} gave {other}, "
+                        f"one GEMM tile gave {reference}"
                     )
             objectwise = pair_counts(rankings[i], rankings[j])
-            if dense != objectwise:
+            if reference != objectwise:
                 return (
-                    f"pair ({i},{j}): dense GEMM classifies {dense}, the "
+                    f"pair ({i},{j}): GEMM classifies {reference}, the "
                     f"object metric {objectwise}"
                 )
     return None
@@ -395,7 +408,7 @@ _RELATIONS: tuple[Relation, ...] = (
     Relation(
         "tiled-gemm-agreement",
         0,
-        "Proposition 6 pair categories: blocked GEMM == dense GEMM == per-pair",
+        "Proposition 6 pair categories: many GEMM tiles == one tile == per-pair",
         _check_tiled_gemm_agreement,
     ),
     Relation(

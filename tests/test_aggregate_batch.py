@@ -2,11 +2,11 @@
 
 The batch layer (:mod:`repro.aggregate.batch`) and the online aggregator
 (:mod:`repro.aggregate.online`) both claim *exact* equality with the dict
-reference path in :mod:`repro.aggregate.median` — not closeness within a
+reference in :mod:`repro.verify.reference` — not closeness within a
 tolerance. These tests assert it with ``==`` across tie modes, weight
 vectors (including arbitrary non-dyadic floats), degenerate profiles, and
-process boundaries, plus the engine-dispatch plumbing that routes the
-public API between the two implementations.
+process boundaries, plus the public :mod:`repro.aggregate.median` entry
+points that run on the kernels.
 """
 
 from __future__ import annotations
@@ -38,6 +38,13 @@ from repro.aggregate.online import OnlineMedianAggregator
 from repro.core.partial_ranking import PartialRanking
 from repro.errors import AggregationError
 from repro.generators.random import random_bucket_order, resolve_rng
+from repro.verify.reference import (
+    median_fixed_type_dict,
+    median_full_ranking_dict,
+    median_partial_ranking_dict,
+    median_scores_dict,
+    median_top_k_dict,
+)
 
 from tests.conftest import bucket_orders
 
@@ -64,9 +71,7 @@ class TestScoresBitForBit:
     @settings(max_examples=40, deadline=None)
     @given(_shared_domain_profiles(4), st.sampled_from(TIES))
     def test_unweighted_scores_equal_dict_path(self, profile, tie):
-        assert median_scores_batch(profile, tie=tie) == median_scores(
-            profile, tie=tie, engine="dict"
-        )
+        assert median_scores_batch(profile, tie=tie) == median_scores_dict(profile, tie=tie)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -76,17 +81,15 @@ class TestScoresBitForBit:
     )
     def test_weighted_scores_equal_dict_path(self, profile, tie, seed):
         weights = _random_weights(seed, len(profile))
-        assert median_scores_batch(profile, tie=tie, weights=weights) == median_scores(
-            profile, tie=tie, weights=weights, engine="dict"
+        assert median_scores_batch(profile, tie=tie, weights=weights) == (
+            median_scores_dict(profile, tie=tie, weights=weights)
         )
 
     @pytest.mark.parametrize("tie", TIES)
     @pytest.mark.parametrize("m", [1, 2, 3, 8, 9])
     def test_even_and_odd_profile_sizes(self, tie, m):
         profile = _random_profile(seed=m, n=6, m=m)
-        assert median_scores_batch(profile, tie=tie) == median_scores(
-            profile, tie=tie, engine="dict"
-        )
+        assert median_scores_batch(profile, tie=tie) == median_scores_dict(profile, tie=tie)
 
     @pytest.mark.parametrize("tie", TIES)
     def test_degenerate_profiles(self, tie):
@@ -94,9 +97,7 @@ class TestScoresBitForBit:
         singletons = [PartialRanking([[0], [1], [2], [3]])] * 3
         mixed = [PartialRanking([[0, 1, 2, 3]]), PartialRanking([[3], [2], [1], [0]])]
         for profile in (one_bucket, singletons, mixed):
-            assert median_scores_batch(profile, tie=tie) == median_scores(
-                profile, tie=tie, engine="dict"
-            )
+            assert median_scores_batch(profile, tie=tie) == median_scores_dict(profile, tie=tie)
 
     def test_dyadic_and_extreme_weights(self):
         profile = _random_profile(seed=7, n=5, m=4)
@@ -104,7 +105,7 @@ class TestScoresBitForBit:
             for tie in TIES:
                 assert median_scores_batch(
                     profile, tie=tie, weights=weights
-                ) == median_scores(profile, tie=tie, weights=weights, engine="dict")
+                ) == median_scores_dict(profile, tie=tie, weights=weights)
 
     def test_scores_are_plain_python_floats(self):
         scores = median_scores_batch(_random_profile(seed=0, n=4, m=3))
@@ -115,28 +116,24 @@ class TestOutputsBitForBit:
     @settings(max_examples=30, deadline=None)
     @given(_shared_domain_profiles(5), st.sampled_from(TIES))
     def test_full_and_partial_ranking_equal_dict_path(self, profile, tie):
-        assert median_full_ranking_batch(profile, tie=tie) == median_full_ranking(
-            profile, tie=tie, engine="dict"
+        assert median_full_ranking_batch(profile, tie=tie) == (
+            median_full_ranking_dict(profile, tie=tie)
         )
-        assert median_partial_ranking_batch(profile, tie=tie) == median_partial_ranking(
-            profile, tie=tie, engine="dict"
+        assert median_partial_ranking_batch(profile, tie=tie) == (
+            median_partial_ranking_dict(profile, tie=tie)
         )
 
     @settings(max_examples=30, deadline=None)
     @given(_shared_domain_profiles(5), st.integers(min_value=1, max_value=5))
     def test_top_k_equal_dict_path_all_k(self, profile, k):
-        assert median_top_k_batch(profile, k) == median_top_k(
-            profile, k, engine="dict"
-        )
+        assert median_top_k_batch(profile, k) == median_top_k_dict(profile, k)
 
     def test_top_k_boundary_ties_resolved_canonically(self):
         # every item gets the same median score -> the boundary tie-break
         # must pick the canonically-first items, exactly like the sort.
         profile = [PartialRanking([[0, 1, 2, 3, 4]])] * 3
         for k in range(1, 6):
-            assert median_top_k_batch(profile, k) == median_top_k(
-                profile, k, engine="dict"
-            )
+            assert median_top_k_batch(profile, k) == median_top_k_dict(profile, k)
 
     @pytest.mark.parametrize(
         "bucket_type", [(5,), (1, 4), (2, 3), (1, 1, 1, 1, 1), (4, 1)]
@@ -146,20 +143,20 @@ class TestOutputsBitForBit:
         for tie in TIES:
             assert median_fixed_type_batch(
                 profile, bucket_type, tie=tie
-            ) == median_fixed_type(profile, bucket_type, tie=tie, engine="dict")
+            ) == median_fixed_type_dict(profile, bucket_type, tie=tie)
 
     def test_weighted_outputs_equal_dict_path(self):
         profile = _random_profile(seed=3, n=6, m=5)
         weights = _random_weights(42, 5)
-        assert median_top_k_batch(profile, 3, weights=weights) == median_top_k(
-            profile, 3, weights=weights, engine="dict"
+        assert median_top_k_batch(profile, 3, weights=weights) == (
+            median_top_k_dict(profile, 3, weights=weights)
         )
         assert median_full_ranking_batch(
             profile, weights=weights
-        ) == median_full_ranking(profile, weights=weights, engine="dict")
+        ) == median_full_ranking_dict(profile, weights=weights)
         assert median_partial_ranking_batch(
             profile, weights=weights
-        ) == median_partial_ranking(profile, weights=weights, engine="dict")
+        ) == median_partial_ranking_dict(profile, weights=weights)
 
 
 class TestErrorParity:
@@ -171,7 +168,7 @@ class TestErrorParity:
             with pytest.raises(AggregationError) as batch_err:
                 median_top_k_batch(profile, k)
             with pytest.raises(AggregationError) as dict_err:
-                median_top_k(profile, k, engine="dict")
+                median_top_k_dict(profile, k)
             assert str(batch_err.value) == str(dict_err.value)
 
     def test_bad_bucket_type_messages_match(self):
@@ -180,7 +177,7 @@ class TestErrorParity:
             with pytest.raises(AggregationError) as batch_err:
                 median_fixed_type_batch(profile, bucket_type)
             with pytest.raises(AggregationError) as dict_err:
-                median_fixed_type(profile, bucket_type, engine="dict")
+                median_fixed_type_dict(profile, bucket_type)
             assert str(batch_err.value) == str(dict_err.value)
 
     def test_empty_profile_rejected(self):
@@ -194,8 +191,10 @@ class TestErrorParity:
 
     def test_weight_validation_matches(self):
         profile = _random_profile(seed=0, n=4, m=3)
-        with pytest.raises(AggregationError, match="2 weights for 3"):
+        with pytest.raises(AggregationError, match="^2 weights for 3 rankings$"):
             median_scores_batch(profile, weights=[1.0, 2.0])
+        with pytest.raises(AggregationError, match="^2 weights for 3 rankings$"):
+            median_scores_dict(profile, weights=[1.0, 2.0])
         with pytest.raises(AggregationError, match="strictly positive"):
             median_scores_batch(profile, weights=[1.0, -2.0, 1.0])
 
@@ -229,41 +228,42 @@ class TestArrayKernelValidation:
 
 
 class TestEngineDispatch:
+    """The public entry points have one path: the array kernels."""
+
     def test_unknown_engine_rejected(self):
         profile = _random_profile(seed=0, n=4, m=3)
-        with pytest.raises(AggregationError, match="unknown median engine 'numpy'"):
-            median_scores(profile, engine="numpy")  # type: ignore[arg-type]
+        with pytest.raises(TypeError, match="engine"):
+            median_scores(profile, engine="dict")  # type: ignore[call-arg]
 
     @pytest.mark.parametrize("engine", ["auto", "dict", "array"])
     def test_all_engines_agree_on_small_profiles(self, engine):
+        """The public function (``auto``), the dict reference and the
+        kernel agree on a profile far below any size threshold."""
         profile = _random_profile(seed=9, n=5, m=4)
-        reference = median_scores(profile, engine="dict")
-        assert median_scores(profile, engine=engine) == reference
+        paths = {
+            "auto": median_scores,
+            "dict": median_scores_dict,
+            "array": median_scores_batch,
+        }
+        assert paths[engine](profile) == median_scores_dict(profile)
 
     def test_auto_crosses_to_array_on_large_profiles(self):
-        # 40 x 30 = 1200 cells >= _ARRAY_MIN_CELLS: auto == array == dict.
+        """A 40 × 30 profile: public function == kernel == reference."""
         profile = _random_profile(seed=13, n=30, m=40)
         assert (
             median_scores(profile)
-            == median_scores(profile, engine="array")
-            == median_scores(profile, engine="dict")
+            == median_scores_batch(profile)
+            == median_scores_dict(profile)
         )
 
     def test_outputs_dispatch_through_engines(self):
         profile = _random_profile(seed=17, n=6, m=5)
-        for engine in ("dict", "array", "auto"):
-            assert median_top_k(profile, 2, engine=engine) == median_top_k(
-                profile, 2, engine="dict"
-            )
-            assert median_full_ranking(profile, engine=engine) == median_full_ranking(
-                profile, engine="dict"
-            )
-            assert median_partial_ranking(
-                profile, engine=engine
-            ) == median_partial_ranking(profile, engine="dict")
-            assert median_fixed_type(
-                profile, (2, 4), engine=engine
-            ) == median_fixed_type(profile, (2, 4), engine="dict")
+        assert median_top_k(profile, 2) == median_top_k_dict(profile, 2)
+        assert median_full_ranking(profile) == median_full_ranking_dict(profile)
+        assert median_partial_ranking(profile) == median_partial_ranking_dict(profile)
+        assert median_fixed_type(profile, (2, 4)) == median_fixed_type_dict(
+            profile, (2, 4)
+        )
 
 
 class TestOnlineMatchesBatch:
@@ -403,21 +403,15 @@ class TestContractsUnderDebug:
         profile = _random_profile(seed=41, n=6, m=5)
         weights = _random_weights(0, 5)
         for tie in TIES:
-            assert median_scores_batch(profile, tie=tie) == median_scores(
-                profile, tie=tie, engine="dict"
-            )
-        assert median_scores_batch(profile, weights=weights) == median_scores(
-            profile, weights=weights, engine="dict"
+            assert median_scores_batch(profile, tie=tie) == median_scores_dict(profile, tie=tie)
+        assert median_scores_batch(profile, weights=weights) == (
+            median_scores_dict(profile, weights=weights)
         )
-        assert median_top_k_batch(profile, 3) == median_top_k(profile, 3, engine="dict")
-        assert median_full_ranking_batch(profile) == median_full_ranking(
-            profile, engine="dict"
-        )
-        assert median_partial_ranking_batch(profile) == median_partial_ranking(
-            profile, engine="dict"
-        )
-        assert median_fixed_type_batch(profile, (2, 2, 2)) == median_fixed_type(
-            profile, (2, 2, 2), engine="dict"
+        assert median_top_k_batch(profile, 3) == median_top_k_dict(profile, 3)
+        assert median_full_ranking_batch(profile) == median_full_ranking_dict(profile)
+        assert median_partial_ranking_batch(profile) == median_partial_ranking_dict(profile)
+        assert median_fixed_type_batch(profile, (2, 2, 2)) == (
+            median_fixed_type_dict(profile, (2, 2, 2))
         )
         aggregator = OnlineMedianAggregator(range(6))
         for ranking in profile:

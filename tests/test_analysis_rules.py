@@ -543,11 +543,12 @@ class TestRP009PairwiseLoops:
         assert "kemeny_decomposed" in result.active[0].message
 
     def test_positive_profile_cost_list_wrapper_too(self):
+        # a two-level list comprehension nests as deeply as two loops
         result = analyze_source(
-            "from repro.aggregate.kemeny import pair_cost_matrix\n"
+            "from repro.aggregate.kemeny import pair_cost_array\n"
             "def grid(profiles):\n"
             "    return [\n"
-            "        pair_cost_matrix(profile)\n"
+            "        pair_cost_array(profile)\n"
             "        for group in profiles for profile in group\n"
             "    ]\n",
             select=["RP009"],

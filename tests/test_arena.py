@@ -9,8 +9,9 @@ Three families of guarantees, all exact:
   and the *last* detach unlinks the segment even when worker processes
   attached it in between (the hypothesis interleaving test); a leaked
   segment would make the final re-attach succeed instead of raising;
-* **parity** — every ``jobs`` level and every strategy computes the same
-  bits from the arena as the object layer computes from the profile.
+* **parity** — every ``jobs`` level and every pair-classification kernel
+  (one GEMM tile, forced narrow tiles, per-pair) computes the same bits
+  from the arena as the object layer computes from the profile.
 """
 
 from __future__ import annotations
@@ -27,7 +28,13 @@ from repro.errors import DomainMismatchError, InvalidRankingError
 from repro.aggregate.batch import median_scores_batch
 from repro.generators.workloads import mallows_profile_workload
 from repro.metrics import pairwise_distance_matrix
-from repro.metrics.batch import pair_counts_matrix, position_matrix
+from repro.metrics import pair_counts
+from repro.metrics.batch import (
+    _pair_counts_dense_tiled,
+    _pair_counts_pairs,
+    pair_counts_matrix,
+    position_matrix,
+)
 from repro.parallel import parallel_map_arena
 
 METRICS = ("kendall", "footrule", "kendall_hausdorff", "footrule_hausdorff")
@@ -50,8 +57,9 @@ def profiles(
     return draw_profile()
 
 
-def _row_half_total(arena: ProfileArena, row: int) -> int:
+def _row_half_total(task: tuple[ProfileArena, int]) -> int:
     """Worker: exact int64 total of one row's doubled half-positions."""
+    arena, row = task
     return int(arena.half_position_rows[row].astype(np.int64).sum())
 
 
@@ -121,7 +129,7 @@ class TestLifecycle:
             st.lists(st.sampled_from(["attach", "detach", "pool"]), max_size=5)
         )
         rows = list(range(len(profile)))
-        serial = [_row_half_total(arena, row) for row in rows]
+        serial = [_row_half_total((arena, row)) for row in rows]
         for op in ops:
             if op == "attach":
                 live.append(ProfileArena.attach(handle))
@@ -162,12 +170,22 @@ class TestJobsParity:
     def test_pair_counts_strategies_match_object_layer(
         self, profile, strategy: str
     ) -> None:
-        expected = pair_counts_matrix(profile, strategy="dense")
+        """``dense`` is one GEMM tile, ``tiled`` forces widths 1 and 3,
+        ``pairs`` the per-pair kernel over the arena's pool dispatch."""
+        expected = pair_counts_matrix(profile)
         with ProfileArena.from_profile(profile) as arena:
-            actual = pair_counts_matrix(arena, strategy=strategy)
-        for i in range(len(profile)):
-            for j in range(len(profile)):
-                assert actual.pair_counts(i, j) == expected.pair_counts(i, j)
+            rows = arena.bucket_rows
+            if strategy == "dense":
+                actuals = [_pair_counts_dense_tiled(rows)]
+            elif strategy == "tiled":
+                actuals = [_pair_counts_dense_tiled(rows, tile) for tile in (1, 3)]
+            else:
+                actuals = [_pair_counts_pairs(rows, jobs, arena) for jobs in (1, 2)]
+        for actual in actuals:
+            for i in range(len(profile)):
+                for j in range(len(profile)):
+                    assert actual.pair_counts(i, j) == expected.pair_counts(i, j)
+                    assert actual.pair_counts(i, j) == pair_counts(profile[i], profile[j])
 
     def test_aggregation_scores_match_object_layer(self, profile) -> None:
         expected = median_scores_batch(profile)

@@ -34,9 +34,16 @@ from repro.metrics import (
     pair_counts_large,
     pairwise_distance_matrix,
 )
-from repro.metrics.batch import METRIC_ALIASES, pair_counts_matrix
+from repro.metrics.batch import (
+    _pair_counts_dense_tiled,
+    _pair_counts_pairs,
+    bucket_index_matrix,
+    pair_counts_matrix,
+)
 from repro.metrics.fast import count_inversions_array
 from repro.metrics.kendall import kendall_naive
+import repro.metrics.plugins  # noqa: F401 - registers the plugin metrics
+from repro.metrics.registry import get_metric, metric_names
 
 METRIC_FNS = {
     "kendall": kendall,
@@ -115,16 +122,31 @@ class TestFastPath:
             kendall_large(sigma, sigma, p=1.5)
 
 
+def _assert_same_counts(a, b) -> None:
+    assert (a.discordant == b.discordant).all()
+    assert (a.tied_first_only == b.tied_first_only).all()
+    assert (a.tied_both == b.tied_both).all()
+    assert (a.concordant == b.concordant).all()
+
+
 class TestPairCountsMatrix:
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
     def test_strategies_agree(self, workload: str) -> None:
+        """One GEMM tile, forced widths 1 and 3, and the per-pair kernel
+        classify identically, and match the object ``pair_counts``."""
         profile = WORKLOADS[workload]()
-        dense = pair_counts_matrix(profile, strategy="dense")
-        per_pair = pair_counts_matrix(profile, strategy="pairs")
-        assert (dense.discordant == per_pair.discordant).all()
-        assert (dense.tied_first_only == per_pair.tied_first_only).all()
-        assert (dense.tied_both == per_pair.tied_both).all()
-        assert (dense.concordant == per_pair.concordant).all()
+        rows = bucket_index_matrix(profile)
+        one_tile = _pair_counts_dense_tiled(rows)
+        for matrix in (
+            _pair_counts_dense_tiled(rows, tile=1),
+            _pair_counts_dense_tiled(rows, tile=3),
+            _pair_counts_pairs(rows, None),
+            pair_counts_matrix(profile),
+        ):
+            _assert_same_counts(one_tile, matrix)
+        for i in range(len(profile)):
+            for j in range(len(profile)):
+                assert one_tile.pair_counts(i, j) == pair_counts(profile[i], profile[j])
 
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
     def test_entries_match_scalar_pair_counts(self, workload: str) -> None:
@@ -140,8 +162,13 @@ class TestPairCountsMatrix:
         assert (matrix.tied_second_only == matrix.tied_first_only.T).all()
 
     def test_unknown_strategy_rejected(self) -> None:
-        with pytest.raises(ValueError, match="strategy"):
-            pair_counts_matrix(WORKLOADS["random"](), strategy="wat")
+        # the kernel is chosen by size alone; there is no strategy knob
+        with pytest.raises(TypeError, match="strategy"):
+            pair_counts_matrix(WORKLOADS["random"](), strategy="pairs")  # type: ignore[call-arg]
+        with pytest.raises(TypeError, match="strategy"):
+            pairwise_distance_matrix(  # type: ignore[call-arg]
+                WORKLOADS["random"](), strategy="pairs"
+            )
 
     def test_bad_penalty_rejected(self) -> None:
         matrix = pair_counts_matrix(WORKLOADS["random"]())
@@ -171,11 +198,12 @@ class TestPairwiseDistanceMatrix:
 
     def test_aliases_cover_all_four_metrics(self) -> None:
         profile = WORKLOADS["random"]()
-        for alias, canonical in METRIC_ALIASES.items():
-            assert (
-                pairwise_distance_matrix(profile, alias)
-                == pairwise_distance_matrix(profile, canonical)
-            ).all()
+        for canonical in METRIC_FNS:
+            for alias in get_metric(canonical).aliases:
+                assert (
+                    pairwise_distance_matrix(profile, alias)
+                    == pairwise_distance_matrix(profile, canonical)
+                ).all()
 
     def test_unknown_metric_rejected(self) -> None:
         with pytest.raises(ValueError, match="unknown metric"):
@@ -185,12 +213,26 @@ class TestPairwiseDistanceMatrix:
         with pytest.raises(DomainMismatchError):
             pairwise_distance_matrix([], "kendall")
 
+    @pytest.mark.parametrize("metric", metric_names())
+    def test_degenerate_profiles(self, metric: str) -> None:
+        """One ranking gives the 1×1 zero matrix; none is a domain error."""
+        single = [PartialRanking([[1, 2], [3]])]
+        assert pairwise_distance_matrix(single, metric).tolist() == [[0.0]]
+        with pytest.raises(DomainMismatchError):
+            pairwise_distance_matrix([], metric)
+
     @pytest.mark.parametrize("metric", sorted(METRIC_FNS))
     def test_jobs_equals_serial(self, metric: str) -> None:
         profile = WORKLOADS["mallows"]()
-        serial = pairwise_distance_matrix(profile, metric, strategy="pairs")
-        pooled = pairwise_distance_matrix(profile, metric, strategy="pairs", jobs=2)
+        serial = pairwise_distance_matrix(profile, metric)
+        pooled = pairwise_distance_matrix(profile, metric, jobs=2)
         assert (serial == pooled).all()
+
+    def test_pairs_kernel_jobs_equals_serial(self) -> None:
+        rows = bucket_index_matrix(WORKLOADS["mallows"]())
+        _assert_same_counts(_pair_counts_pairs(rows, None), _pair_counts_pairs(rows, 2))
+        single = bucket_index_matrix([PartialRanking([[1, 2], [3]])])
+        assert _pair_counts_pairs(single, None).pair_counts(0, 0).tied_both == 1
 
     @given(
         st.lists(bucket_orders(min_size=3, max_size=3), min_size=2, max_size=4),

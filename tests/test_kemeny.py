@@ -11,11 +11,9 @@ import numpy as np
 from repro.aggregate.exact import optimal_full_ranking
 from repro.aggregate.kemeny import (
     _held_karp,
-    _held_karp_python,
     kemeny_lower_bound,
     kemeny_optimal,
     pair_cost_array,
-    pair_cost_matrix,
 )
 from repro.aggregate.scoring import ScoringScheme, resolve_scheme
 from repro.aggregate.median import median_full_ranking
@@ -23,6 +21,7 @@ from repro.aggregate.objective import total_distance
 from repro.core.partial_ranking import PartialRanking
 from repro.errors import AggregationError
 from repro.generators.random import random_bucket_order, resolve_rng
+from repro.verify.reference import held_karp_python
 
 
 class TestPairCostMatrix:
@@ -31,7 +30,7 @@ class TestPairCostMatrix:
             PartialRanking.from_sequence("ab"),
             PartialRanking([["a", "b"]]),
         ]
-        items, cost = pair_cost_matrix(rankings)
+        items, cost = pair_cost_array(rankings)
         i, j = items.index("a"), items.index("b")
         # placing a before b: 0 from the agreeing input, 1/2 from the tie
         assert cost[i][j] == 0.5
@@ -41,7 +40,7 @@ class TestPairCostMatrix:
     def test_pair_sum_is_constant(self):
         rng = resolve_rng(3)
         rankings = [random_bucket_order(6, rng) for _ in range(5)]
-        items, cost = pair_cost_matrix(rankings)
+        items, cost = pair_cost_array(rankings)
         n = len(items)
         sums = {
             round(cost[i][j] + cost[j][i], 6)
@@ -54,7 +53,7 @@ class TestPairCostMatrix:
 
     def test_bad_p_rejected(self):
         with pytest.raises(AggregationError):
-            pair_cost_matrix([PartialRanking.from_sequence("ab")], p=2.0)
+            pair_cost_array([PartialRanking.from_sequence("ab")], p=2.0)
 
 
 class TestKemenyOptimal:
@@ -184,13 +183,24 @@ class TestScoringScheme:
 
 
 class TestPairCostArray:
-    def test_matches_list_wrapper(self):
+    def test_matches_per_ranking_accumulation(self):
+        """Every entry equals the per-input sum of the definition: 1 when
+        the input ranks the second item strictly ahead, p when it ties
+        the pair."""
         rng = resolve_rng(5)
         rankings = [random_bucket_order(7, rng, tie_bias=0.3) for _ in range(4)]
-        items_a, array = pair_cost_array(rankings)
-        items_l, lists = pair_cost_matrix(rankings)
-        assert items_a == items_l
-        assert array.tolist() == lists
+        items, cost = pair_cost_array(rankings, p=0.25)
+        assert items == sorted(items, key=lambda item: (type(item).__name__, repr(item)))
+        for i, x in enumerate(items):
+            for j, y in enumerate(items):
+                expected = 0.0
+                if i != j:
+                    for sigma in rankings:
+                        if sigma.position(y) < sigma.position(x):
+                            expected += 1.0
+                        elif sigma.position(y) == sigma.position(x):
+                            expected += 0.25
+                assert cost[i, j] == expected
 
     def test_diagonal_is_zero(self):
         rng = resolve_rng(6)
@@ -208,7 +218,7 @@ class TestHeldKarpVectorized:
         _, cost = pair_cost_array(rankings)
         n = cost.shape[0]
         vec_order, vec_value = _held_karp(cost, n)
-        ref_order, ref_value = _held_karp_python(cost, n)
+        ref_order, ref_value = held_karp_python(cost, n)
         # dyadic penalties make every partial sum exact, so the orders
         # and objectives must agree bit-for-bit, ties included
         assert vec_order == ref_order
