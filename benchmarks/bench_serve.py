@@ -108,7 +108,7 @@ async def _user(
 
 
 async def _run_load(seed: int) -> dict:
-    service = RankingService(ServeConfig(batch_window=0.001, cache_capacity=4096))
+    service = RankingService(ServeConfig(cache_capacity=4096))
     pools = _build_pools(seed)
     # seed every domain so consensus queries have voters from the start
     for index, (domain, pool) in enumerate(pools):

@@ -72,8 +72,6 @@ def median_scores_array(
     positions: npt.NDArray[np.float64],
     tie: MedianTie = "mid",
     weights: Sequence[float] | None = None,
-    *,
-    assume_sorted: bool = False,
 ) -> npt.NDArray[np.float64]:
     """Columnwise (weighted) median of an ``(m, n)`` position matrix.
 
@@ -81,19 +79,12 @@ def median_scores_array(
     result is the length-``n`` vector of per-item medians — the median
     score function of Lemma 8 as a dense array.
 
-    ``assume_sorted`` skips the columnwise sort when the caller already
-    maintains column-sorted state (the online aggregator does); it is
-    only meaningful on the unweighted path, because the weighted kernel
-    must co-sort positions with their weights.
-
     Kept as a thin tracing wrapper over :func:`_median_scores_array_impl`
     so ``benchmarks/bench_obs.py`` can measure the disabled-mode overhead
     of the instrumentation as (wrapper − impl) directly.
     """
     if not obs.enabled():
-        return _median_scores_array_impl(
-            positions, tie, weights, assume_sorted=assume_sorted
-        )
+        return _median_scores_array_impl(positions, tie, weights)
     shape = np.shape(positions)
     with obs.trace(
         "aggregate.batch.median_scores_array",
@@ -102,17 +93,13 @@ def median_scores_array(
     ):
         if len(shape) == 2:
             obs.add("aggregate.cells", shape[0] * shape[1])
-        return _median_scores_array_impl(
-            positions, tie, weights, assume_sorted=assume_sorted
-        )
+        return _median_scores_array_impl(positions, tie, weights)
 
 
 def _median_scores_array_impl(
     positions: npt.NDArray[np.float64],
     tie: MedianTie = "mid",
     weights: Sequence[float] | None = None,
-    *,
-    assume_sorted: bool = False,
 ) -> npt.NDArray[np.float64]:
     _check_tie(tie)
     matrix = np.asarray(positions, dtype=np.float64)
@@ -124,16 +111,12 @@ def _median_scores_array_impl(
     if m == 0:
         raise AggregationError("median of an empty profile is undefined")
     if weights is None:
-        ordered = matrix if assume_sorted else np.sort(matrix, axis=0)
+        ordered = np.sort(matrix, axis=0)
         if m % 2 == 1:
             return ordered[m // 2].copy()
         low = ordered[m // 2 - 1]
         high = ordered[m // 2]
     else:
-        if assume_sorted:
-            raise AggregationError(
-                "assume_sorted applies to the unweighted kernel only"
-            )
         weight_vec = np.asarray(_validated_weights(weights, m, noun="rankings"), dtype=np.float64)
         low, high = _weighted_bounds(matrix, weight_vec)
     if tie == "low":

@@ -1,7 +1,7 @@
 """Process-wide metric counters and histograms (stdlib only).
 
 Metrics are keyed by stable dotted names (``metrics.pairs``,
-``aggregate.online.sort_cache.hits``, ...) so dashboards and the trace
+``aggregate.online.adds``, ...) so dashboards and the trace
 summarizer can aggregate across runs without string munging; the full
 naming scheme lives in ``docs/OBSERVABILITY.md``. The registry is
 process-global and guarded by a lock, but — like every entry point of

@@ -2,9 +2,13 @@
 
 Under concurrent load, distance requests over the same domain arrive
 faster than the per-pair Python path can answer them one by one. The
-:class:`DistanceBatcher` holds each request for at most ``window``
-seconds; every request for the same ``(codec, metric, p)`` group that
-arrives inside the window joins the same *batch*. On flush the batch's
+:class:`DistanceBatcher` waits on no timer: the first request of a
+``(codec, metric, p)`` group opens a *batch* and schedules its flush as
+a new task, which runs only after every task already runnable on the
+current event-loop tick has had its turn. Every same-group request those
+tasks make joins the open batch, so an ``asyncio.gather`` of N requests
+— or N connections whose reads completed together — lands in one batch,
+while a lone request is answered on the next turn. On flush the batch's
 distinct rankings (deduplicated by value — ranking hashes are cached on
 the objects) become one profile, a **single**
 :func:`repro.metrics.batch.pairwise_distance_matrix` call classifies all
@@ -15,10 +19,6 @@ metrics, a coalesced answer is *identical* to the per-call answer — the
 concurrency tests assert ``==`` on floats, and the
 ``serve.batch.coalesced`` / ``serve.batch.flushes`` counters make the
 "N requests, one kernel call" claim observable.
-
-``window=0`` still coalesces: the flush task is scheduled behind every
-task already runnable on the current event-loop tick, so an
-``asyncio.gather`` of N requests lands in one batch.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ __all__ = ["DistanceBatcher"]
 
 
 class _Batch:
-    """One open coalescing window for a ``(codec, metric, p)`` group."""
+    """One open batch for a ``(codec, metric, p)`` group."""
 
     __slots__ = ("rankings", "index", "waiters", "task")
 
@@ -62,18 +62,11 @@ class DistanceBatcher:
     penalty ``p``, so every flush is a well-formed single-domain profile.
     """
 
-    __slots__ = ("_window", "_jobs", "_pending")
+    __slots__ = ("_jobs", "_pending")
 
-    def __init__(self, window: float = 0.0, jobs: int | None = None) -> None:
-        if window < 0:
-            raise ValueError(f"batch window must be >= 0 (got {window})")
-        self._window = window
+    def __init__(self, jobs: int | None = None) -> None:
         self._jobs = jobs
         self._pending: dict[Hashable, _Batch] = {}
-
-    @property
-    def window(self) -> float:
-        return self._window
 
     async def distance(
         self,
@@ -89,7 +82,7 @@ class DistanceBatcher:
         if batch is None:
             batch = _Batch()
             self._pending[group] = batch
-            batch.task = asyncio.ensure_future(self._flush_later(group, batch))
+            batch.task = asyncio.ensure_future(self._flush(group, batch))
         i = batch.enlist(sigma)
         j = batch.enlist(tau)
         future: asyncio.Future[float] = asyncio.get_running_loop().create_future()
@@ -97,9 +90,9 @@ class DistanceBatcher:
         obs.add("serve.batch.enqueued")
         return await future
 
-    async def _flush_later(self, group: Hashable, batch: _Batch) -> None:
-        await asyncio.sleep(self._window)
-        # close the window: later arrivals start a fresh batch
+    async def _flush(self, group: Hashable, batch: _Batch) -> None:
+        # the task's first turn comes after every task runnable when the
+        # batch opened; close it now, so later arrivals start a fresh one
         if self._pending.get(group) is batch:
             del self._pending[group]
         _, metric, p = group
@@ -134,7 +127,7 @@ class DistanceBatcher:
                 future.set_result(values[i, j])
 
     def pending_groups(self) -> int:
-        """Open coalescing windows right now (introspection for stats)."""
+        """Open batches right now (introspection for stats)."""
         return len(self._pending)
 
     async def drain(self) -> None:

@@ -3,11 +3,13 @@
 .. code-block:: console
 
     python -m repro.serve --port 8321
-    python -m repro.serve --port 0 --batch-window 0.002 --cache 4096
+    python -m repro.serve --port 0 --cache 4096
     python -m repro serve --port 8321        # via the umbrella CLI
 
 Flags override the ``REPRO_SERVE_*`` environment defaults (see
-:mod:`repro.serve.config`). ``--trace out.jsonl`` arms a
+:mod:`repro.serve.config`). Distance batching takes no flag: concurrent
+requests coalesce per event-loop tick and a lone request waits on no
+timer (see :mod:`repro.serve.batching`). ``--trace out.jsonl`` arms a
 :mod:`repro.obs` session around the whole server lifetime so every
 request span and ``serve.*`` counter lands in the trace file.
 """
@@ -35,13 +37,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--host", default=None, help="bind address")
     parser.add_argument("--port", type=int, default=None, help="TCP port (0 = ephemeral)")
     parser.add_argument(
-        "--batch-window",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="distance-request coalescing window",
-    )
-    parser.add_argument(
         "--cache", type=int, default=None, metavar="N", help="result-cache capacity"
     )
     parser.add_argument(
@@ -61,7 +56,6 @@ def resolve_config(args: argparse.Namespace) -> ServeConfig:
         for name, value in (
             ("host", args.host),
             ("port", args.port),
-            ("batch_window", args.batch_window),
             ("cache_capacity", args.cache),
             ("jobs", args.jobs),
         )

@@ -13,9 +13,6 @@ Recognized variables (all optional; see :func:`config_from_env`):
     Bind address for the HTTP server (default ``127.0.0.1``).
 ``REPRO_SERVE_PORT``
     TCP port (default ``8321``; ``0`` asks the OS for a free port).
-``REPRO_SERVE_BATCH_WINDOW``
-    Distance-batch coalescing window in **seconds** (default ``0.002``;
-    ``0`` coalesces only requests arriving on the same event-loop tick).
 ``REPRO_SERVE_CACHE``
     Result-cache capacity in entries (default ``1024``; ``0`` disables
     caching).
@@ -36,7 +33,6 @@ __all__ = ["ServeConfig", "config_from_env"]  # repro: noqa[RP011] — pure conf
 
 _DEFAULT_HOST = "127.0.0.1"
 _DEFAULT_PORT = 8321
-_DEFAULT_BATCH_WINDOW = 0.002
 _DEFAULT_CACHE_CAPACITY = 1024
 
 
@@ -44,9 +40,10 @@ _DEFAULT_CACHE_CAPACITY = 1024
 class ServeConfig:
     """Immutable configuration for one :class:`~repro.serve.RankingService`.
 
-    ``batch_window`` is the coalescing horizon of the distance batcher:
-    concurrent distance requests over the same codec arriving within the
-    window are answered from **one** ``pairwise_distance_matrix`` call.
+    Distance batching has no knob: concurrent distance requests over the
+    same codec that are runnable on the same event-loop tick are answered
+    from **one** ``pairwise_distance_matrix`` call, and a lone request
+    waits on no timer (see :mod:`repro.serve.batching`).
     ``cache_capacity`` bounds the LRU result cache (0 disables it).
     ``tie`` is the median tie rule every shard aggregator uses; it is
     part of the snapshot format, so restored services answer identically.
@@ -54,28 +51,23 @@ class ServeConfig:
 
     host: str = _DEFAULT_HOST
     port: int = _DEFAULT_PORT
-    batch_window: float = _DEFAULT_BATCH_WINDOW
     cache_capacity: int = _DEFAULT_CACHE_CAPACITY
     jobs: int | None = None
     tie: MedianTie = "mid"
 
     def __post_init__(self) -> None:
-        if self.batch_window < 0:
-            raise ValueError(f"batch_window must be >= 0 (got {self.batch_window})")
         if self.cache_capacity < 0:
             raise ValueError(f"cache_capacity must be >= 0 (got {self.cache_capacity})")
         if not 0 <= self.port <= 65535:
             raise ValueError(f"port must be in [0, 65535] (got {self.port})")
 
 
-def _env_number(
-    environ: dict[str, str], name: str, default: float, *, integer: bool
-) -> float:
+def _env_int(environ: dict[str, str], name: str, default: int) -> int:
     raw = environ.get(name)
     if raw is None or not raw.strip():
         return default
     try:
-        value = int(raw) if integer else float(raw)
+        return int(raw)
     except ValueError:
         warnings.warn(
             f"ignoring malformed {name}={raw!r} (expected a number); "
@@ -84,7 +76,6 @@ def _env_number(
             stacklevel=3,
         )
         return default
-    return value
 
 
 def config_from_env(environ: dict[str, str] | None = None) -> ServeConfig:
@@ -96,21 +87,15 @@ def config_from_env(environ: dict[str, str] | None = None) -> ServeConfig:
     """
     env = dict(os.environ) if environ is None else environ
     host = env.get("REPRO_SERVE_HOST", _DEFAULT_HOST) or _DEFAULT_HOST
-    port = int(_env_number(env, "REPRO_SERVE_PORT", _DEFAULT_PORT, integer=True))
-    window = _env_number(
-        env, "REPRO_SERVE_BATCH_WINDOW", _DEFAULT_BATCH_WINDOW, integer=False
-    )
-    capacity = int(
-        _env_number(env, "REPRO_SERVE_CACHE", _DEFAULT_CACHE_CAPACITY, integer=True)
-    )
+    port = _env_int(env, "REPRO_SERVE_PORT", _DEFAULT_PORT)
+    capacity = _env_int(env, "REPRO_SERVE_CACHE", _DEFAULT_CACHE_CAPACITY)
     jobs_raw = env.get("REPRO_SERVE_JOBS")
     jobs: int | None = None
     if jobs_raw is not None and jobs_raw.strip():
-        jobs = int(_env_number(env, "REPRO_SERVE_JOBS", 1, integer=True))
+        jobs = _env_int(env, "REPRO_SERVE_JOBS", 1)
     return ServeConfig(
         host=host,
         port=port,
-        batch_window=max(0.0, window),
         cache_capacity=max(0, capacity),
         jobs=jobs,
     )

@@ -29,7 +29,8 @@ type-stably through :class:`~repro.core.partial_ranking.PartialRanking`.
 
 Errors map to status codes: malformed JSON / bad shapes / an unknown
 metric name (:class:`~repro.errors.UnknownMetricError`, listing every
-registered spelling) → 400, unknown routes → 404,
+registered spelling) / a snapshot that does not restore
+(:class:`~repro.serve.shards.SnapshotError`) → 400, unknown routes → 404,
 :class:`~repro.errors.ReproError` (unknown voter, domain mismatch...)
 → 409, anything unexpected → 500 (the failure is re-raised into the
 server log after the response is written).
@@ -49,6 +50,7 @@ from repro.errors import ReproError, UnknownMetricError
 from repro.io import SerializationError, ranking_from_dict, ranking_to_dict
 from repro.serve.config import ServeConfig
 from repro.serve.service import RankingService
+from repro.serve.shards import SnapshotError
 
 __all__ = ["ReproServer", "BadRequest"]
 
@@ -185,12 +187,14 @@ class ReproServer:
         except (
             BadRequest,
             SerializationError,
+            SnapshotError,
             UnknownMetricError,
             json.JSONDecodeError,
         ) as exc:
-            # UnknownMetricError before its ReproError parent: a metric
-            # name that never resolves is a malformed request (400), not
-            # a conflict with the current state (409)
+            # UnknownMetricError and SnapshotError before their ReproError
+            # parent: a metric name that never resolves or a snapshot that
+            # never restores is a malformed request (400), not a conflict
+            # with the current state (409)
             return 400, {"error": str(exc)}, None
         except ReproError as exc:
             return 409, {"error": str(exc)}, None
@@ -219,10 +223,12 @@ async def _read_request(
             break
         name, _, value = line.decode("latin-1").partition(":")
         if name.strip().lower() == "content-length":
-            try:
-                content_length = int(value.strip())
-            except ValueError:
-                content_length = 0
+            # 1*DIGIT only: a negative or non-numeric length is malformed
+            # framing, never 0 (which would run the body as a request)
+            digits = value.strip()
+            if not (digits.isascii() and digits.isdigit()):
+                raise asyncio.IncompleteReadError(request_line, None)
+            content_length = int(digits)
     if content_length > _MAX_BODY:
         raise asyncio.IncompleteReadError(request_line, None)
     body = await reader.readexactly(content_length) if content_length else b""

@@ -84,9 +84,7 @@ class RankingService:
         self._config = config if config is not None else ServeConfig()
         self._shards = ShardMap(tie=self._config.tie)
         self._cache = ResultCache(self._config.cache_capacity)
-        self._batcher = DistanceBatcher(
-            window=self._config.batch_window, jobs=self._config.jobs
-        )
+        self._batcher = DistanceBatcher(jobs=self._config.jobs)
 
     @property
     def config(self) -> ServeConfig:
@@ -271,7 +269,6 @@ class RankingService:
             "cache": self._cache.stats,
             "pending_batches": self._batcher.pending_groups(),
             "config": {
-                "batch_window": self._config.batch_window,
                 "cache_capacity": self._config.cache_capacity,
                 "tie": self._config.tie,
                 "jobs": self._config.jobs,

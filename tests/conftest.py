@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
+from repro.aggregate.online import _rebuild_online
 from repro.core.partial_ranking import PartialRanking
 
 # the exponential brute-force oracles (Hausdorff max-min, Fubini-number
@@ -28,6 +30,25 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("repro")
+
+
+class ForgedOnline:
+    """Pickles as an online aggregator rebuilt from arbitrary rows.
+
+    The tuple matches what ``OnlineMedianAggregator.__reduce__`` emits, so
+    ``pickle.loads`` runs the same rebuild a stored snapshot does.
+    """
+
+    def __init__(self, items, rows, voters=()):
+        self._args = (
+            tuple(items),
+            "mid",
+            np.asarray(rows, dtype=np.float64),
+            tuple((voter, np.asarray(row, dtype=np.float64)) for voter, row in voters),
+        )
+
+    def __reduce__(self):
+        return (_rebuild_online, self._args)
 
 
 def bucket_orders(

@@ -208,24 +208,6 @@ class TestArrayKernelValidation:
         with pytest.raises(AggregationError, match="empty profile"):
             median_scores_array(np.empty((0, 3)))
 
-    def test_assume_sorted_incompatible_with_weights(self):
-        with pytest.raises(AggregationError, match="unweighted kernel only"):
-            median_scores_array(
-                np.zeros((2, 3)), weights=[1.0, 2.0], assume_sorted=True
-            )
-
-    def test_assume_sorted_equals_fresh_sort(self):
-        rng = resolve_rng(5)
-        matrix = np.array(
-            [[rng.randrange(10) / 2 for _ in range(4)] for _ in range(6)]
-        )
-        for tie in TIES:
-            fresh = median_scores_array(matrix, tie=tie)
-            presorted = median_scores_array(
-                np.sort(matrix, axis=0), tie=tie, assume_sorted=True
-            )
-            assert (fresh == presorted).all()
-
 
 class TestEngineDispatch:
     """The public entry points have one path: the array kernels."""
@@ -294,8 +276,8 @@ class TestOnlineMatchesBatch:
         for step, ranking in enumerate(profile):
             aggregator.add(ranking)
             active.append(ranking)
-            # query between updates so the cached sorted state is merged
-            # incrementally rather than rebuilt from scratch
+            # query between updates, so every query reads counts that
+            # discards have already decremented
             self._assert_snapshot(aggregator, active)
             if step % 3 == 2:
                 victim = active.pop(0)
@@ -363,7 +345,7 @@ class TestOnlinePickle:
         aggregator = OnlineMedianAggregator(range(5), tie="low")
         for ranking in profile:
             aggregator.add(ranking)
-        aggregator.scores()  # populate the sorted cache; it must not pickle stale
+        aggregator.scores()  # a query must leave the pickled counts untouched
         clone = pickle.loads(pickle.dumps(aggregator))
         assert len(clone) == len(aggregator)
         assert clone.domain == aggregator.domain

@@ -87,7 +87,7 @@ class ServeModelHarness:
     def __init__(self, config: ServeConfig | None = None) -> None:
         self.loop = asyncio.new_event_loop()
         self.service = RankingService(
-            config if config is not None else ServeConfig(batch_window=0.0, cache_capacity=32)
+            config if config is not None else ServeConfig(cache_capacity=32)
         )
         self.model: Model = {}
         self.saved: list[tuple[bytes, Model]] = []
