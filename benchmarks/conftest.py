@@ -9,9 +9,10 @@ Run with::
 
     pytest benchmarks/ --benchmark-only
 
-The gated scripts (``bench_aggregate.py``, ``bench_obs.py``,
-``bench_analysis.py``, ``bench_scale.py``) additionally share one CLI
-shape, implemented here so the four gates cannot drift apart:
+The gated scripts (``bench_aggregate.py``, ``bench_kemeny.py``,
+``bench_obs.py``, ``bench_plugins.py``, ``bench_scale.py``,
+``bench_serve.py``) additionally share one CLI shape, implemented here so
+the gates cannot drift apart:
 
 * no arguments — regenerate the committed baseline JSON at the repo root
   (:func:`write_baseline`, stamped with :func:`machine_info`);

@@ -3,8 +3,8 @@
 Two halves, cross-referencing each other:
 
 * a **static-analysis framework** (:mod:`repro.analysis.engine`,
-  :mod:`repro.analysis.rules`, :mod:`repro.analysis.reporters`) with eight
-  shipped RPxxx rules, ``# repro: noqa[RPxxx]`` suppressions, text/JSON
+  :mod:`repro.analysis.rules`, :mod:`repro.analysis.reporters`) with fourteen
+  shipped RPxxx rules, ``# repro: noqa[RPxxx]`` suppressions, text/JSON/SARIF
   reporters, and the ``python -m repro.analysis`` CLI — the repository's
   correctness gate;
 * a **runtime-contract layer** (:mod:`repro.analysis.contracts`):

@@ -51,14 +51,32 @@ class Baseline:
 
     @classmethod
     def load(cls, path: Path) -> "Baseline":
+        """Parse ``path``; a file of the wrong shape raises ``ValueError``
+        naming the file and the offending field."""
         payload = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(payload, dict):
+            raise ValueError(
+                f"{path}: baseline must be a JSON object, got {type(payload).__name__}"
+            )
         if payload.get("schema") != _SCHEMA:
             raise ValueError(
                 f"{path}: unknown baseline schema {payload.get('schema')!r}; "
                 f"expected {_SCHEMA!r}"
             )
+        raw_entries = payload.get("entries", [])
+        if not isinstance(raw_entries, list):
+            raise ValueError(
+                f"{path}: 'entries' must be a list, got {type(raw_entries).__name__}"
+            )
         entries = []
-        for raw in payload.get("entries", []):
+        for index, raw in enumerate(raw_entries):
+            if not isinstance(raw, dict):
+                raise ValueError(
+                    f"{path}: entries[{index}] must be an object, got {type(raw).__name__}"
+                )
+            for key in ("rule", "path", "message"):
+                if key not in raw:
+                    raise ValueError(f"{path}: entries[{index}] has no {key!r} field")
             entry = BaselineEntry(
                 rule=str(raw["rule"]),
                 path=str(raw["path"]),

@@ -3,10 +3,8 @@
 Exit codes: 0 clean (at the chosen ``--fail-on`` threshold), 1 findings at
 or above the threshold (or unparseable files), 2 usage error.
 
-The run pipeline is: result cache (keyed on file content hashes and the
-rule-set version) -> analysis (optionally parallel across rule groups)
--> baseline application -> report. The baseline is applied *after* the
-cache so editing ``analysis-baseline.json`` never forces a cold run.
+The run pipeline is one in-process pass: parse the files, run the
+selected rules, apply the baseline, report.
 """
 
 from __future__ import annotations
@@ -17,22 +15,7 @@ from collections.abc import Sequence
 from pathlib import Path
 
 from repro.analysis.baseline import Baseline, apply_baseline, write_baseline
-from repro.analysis.cache import (
-    cache_dir_for,
-    cache_key,
-    load_cached,
-    store_cached,
-)
-from repro.analysis.engine import (
-    AnalysisResult,
-    Severity,
-    _iter_python_files,
-    _select_rules,
-    analyze_paths,
-    display_path,
-    find_project_root,
-    registered_rules,
-)
+from repro.analysis.engine import Severity, analyze_paths, registered_rules
 from repro.analysis.reporters import render_json, render_sarif, render_text
 
 __all__ = ["main", "build_parser"]
@@ -62,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--select",
         metavar="CODES",
-        help="comma-separated rule codes to run (default: all), e.g. RP001,RP005",
+        help="comma-separated rule codes to run (default: all), e.g. RP001,RP002",
     )
     parser.add_argument(
         "--fail-on",
@@ -74,25 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--root",
         metavar="DIR",
         help="project root for cross-file context (default: auto-detected)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        metavar="N",
-        help=(
-            "run rule groups across N worker processes via repro.parallel "
-            "(0 = auto; default: in-process)"
-        ),
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="bypass the on-disk result cache for this run",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help="result cache location (default: <root>/.repro-cache/analysis)",
     )
     parser.add_argument(
         "--baseline",
@@ -131,43 +95,6 @@ def _list_rules() -> str:
     return "\n".join(lines)
 
 
-def _run_with_cache(
-    paths: Sequence[str],
-    *,
-    root: Path | None,
-    select: Sequence[str] | None,
-    jobs: int | None,
-    use_cache: bool,
-    cache_dir: Path | None,
-) -> AnalysisResult:
-    """The cache-wrapped analysis pipeline (pre-baseline)."""
-    if not use_cache:
-        return analyze_paths(paths, root=root, select=select, jobs=jobs)
-
-    resolved_paths = [Path(p) for p in paths]
-    missing = [p for p in resolved_paths if not p.exists()]
-    if missing:
-        raise FileNotFoundError(f"no such path(s): {', '.join(map(str, missing))}")
-    resolved_root = (
-        root
-        if root is not None
-        else (find_project_root(resolved_paths[0]) if resolved_paths else Path.cwd())
-    )
-    codes = tuple(_select_rules(select))
-    hashed = [
-        (display_path(path, resolved_root).as_posix(), path.read_bytes())
-        for path in _iter_python_files(resolved_paths)
-    ]
-    key = cache_key(hashed, codes)
-    directory = cache_dir if cache_dir is not None else cache_dir_for(resolved_root)
-    cached = load_cached(directory, key)
-    if cached is not None:
-        return cached
-    result = analyze_paths(paths, root=resolved_root, select=select, jobs=jobs)
-    store_cached(directory, key, result)
-    return result
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     options = parser.parse_args(argv)
@@ -182,14 +109,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     root = Path(options.root) if options.root else None
 
     try:
-        result = _run_with_cache(
-            options.paths,
-            root=root,
-            select=select,
-            jobs=options.jobs,
-            use_cache=not options.no_cache,
-            cache_dir=Path(options.cache_dir) if options.cache_dir else None,
-        )
+        result = analyze_paths(options.paths, root=root, select=select)
     except (FileNotFoundError, ValueError) as exc:
         parser.exit(2, f"error: {exc}\n")
 
@@ -203,7 +123,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if options.baseline:
         try:
             baseline = Baseline.load(Path(options.baseline))
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError) as exc:
             parser.exit(2, f"error: {exc}\n")
         stale = baseline.stale_entries(result)
         result = apply_baseline(result, baseline)

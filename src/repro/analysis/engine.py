@@ -97,28 +97,18 @@ class Finding:
             "baselined": self.baselined,
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict[str, object]) -> "Finding":
-        return cls(
-            rule=str(payload["rule"]),
-            severity=Severity.parse(str(payload["severity"])),
-            path=str(payload["path"]),
-            line=int(payload["line"]),  # type: ignore[arg-type]
-            column=int(payload["column"]),  # type: ignore[arg-type]
-            message=str(payload["message"]),
-            suppressed=bool(payload.get("suppressed", False)),
-            baselined=bool(payload.get("baselined", False)),
-        )
 
-
-_NOQA_RE = re.compile(r"#\s*repro:\s*noqa(?:\[(?P<codes>[A-Z0-9,\s]+)\])?")
+_NOQA_RE = re.compile(r"#\s*repro:\s*noqa(?:\[(?P<codes>[^\]]*)\])?")
+_CODE_RE = re.compile(r"RP\d{3}")
 
 
 def _collect_noqa(text: str) -> dict[int, frozenset[str]]:
     """Map line number -> suppressed rule codes for that physical line.
 
     ``# repro: noqa`` with no bracket suppresses every rule on the line;
-    this is recorded as the sentinel code ``"*"``.
+    this is recorded as the sentinel code ``"*"``. A bracketed list
+    suppresses exactly the comma-separated rule codes it names; a token
+    that is not a rule code (``rp001``, ``RP001;RP002``) suppresses nothing.
     """
     suppressions: dict[int, frozenset[str]] = {}
     try:
@@ -142,7 +132,9 @@ def _collect_noqa(text: str) -> dict[int, frozenset[str]]:
         if codes is None:
             suppressions[line_number] = frozenset({"*"})
         else:
-            parsed = frozenset(code.strip() for code in codes.split(",") if code.strip())
+            parsed = frozenset(
+                code for code in map(str.strip, codes.split(",")) if _CODE_RE.fullmatch(code)
+            )
             suppressions[line_number] = suppressions.get(line_number, frozenset()) | parsed
     return suppressions
 
@@ -374,24 +366,6 @@ def _select_rules(select: Sequence[str] | None) -> dict[str, Rule]:
     return {code: rules[code] for code in select}
 
 
-#: Codes that share one lazily built flow analysis; scheduling them into
-#: the same worker means the call graph is constructed once, not five times.
-_FLOW_CODES = ("RP012", "RP013", "RP014", "RP015", "RP016")
-
-
-def _rule_groups(codes: Sequence[str], jobs: int) -> list[tuple[str, ...]]:
-    """Partition rule codes into at most ``jobs`` deterministic groups,
-    keeping the flow rules together (they share ``Project.flow()``)."""
-    flow = tuple(code for code in codes if code in _FLOW_CODES)
-    rest = [code for code in codes if code not in _FLOW_CODES]
-    groups: list[tuple[str, ...]] = [flow] if flow else []
-    slots = max(1, jobs - len(groups))
-    if rest:
-        size = -(-len(rest) // slots)  # ceil division
-        groups.extend(tuple(rest[i : i + size]) for i in range(0, len(rest), size))
-    return groups
-
-
 def display_path(path: Path, root: Path) -> Path:
     """The path a finding reports. Fingerprints (noqa audits, baseline
     entries) must not depend on how the analyzed path was spelled on the
@@ -403,16 +377,43 @@ def display_path(path: Path, root: Path) -> Path:
 
 
 def _run_rules(
-    files: Sequence[Path], root: Path, rules: dict[str, Rule]
-) -> tuple[list[Finding], list[Finding], int]:
-    """Parse ``files`` and run ``rules`` over them (one process's work)."""
-    project = Project(root=root)
+    sources: Sequence[SourceFile], root: Path, rules: dict[str, Rule]
+) -> list[Finding]:
+    """Run ``rules`` over parsed ``sources`` (per-file hooks, then
+    ``finish``) and return the findings in report order."""
+    project = Project(root=root, files=list(sources))
     findings: list[Finding] = []
+    for source in project.files:
+        for rule in rules.values():
+            findings.extend(rule.check_file(source, project))
+    for rule in rules.values():
+        findings.extend(rule.finish(project))
+    findings.sort(key=lambda f: (f.path, f.line, f.column, f.rule))
+    return findings
+
+
+def analyze_paths(
+    paths: Sequence[Path | str],
+    *,
+    root: Path | None = None,
+    select: Sequence[str] | None = None,
+) -> AnalysisResult:
+    """Run the (selected) rules over every ``.py`` file under ``paths``."""
+    resolved_paths = [Path(p) for p in paths]
+    missing = [p for p in resolved_paths if not p.exists()]
+    if missing:
+        raise FileNotFoundError(f"no such path(s): {', '.join(map(str, missing))}")
+    if root is None:
+        root = find_project_root(resolved_paths[0]) if resolved_paths else Path.cwd()
+    rules = _select_rules(select)
+    sources: list[SourceFile] = []
     parse_errors: list[Finding] = []
-    for file_path in files:
+    for file_path in _iter_python_files(resolved_paths):
         shown = display_path(file_path, root)
         try:
-            source = SourceFile.parse(shown, text=file_path.read_text(encoding="utf-8"))
+            sources.append(
+                SourceFile.parse(shown, text=file_path.read_text(encoding="utf-8"))
+            )
         except (SyntaxError, UnicodeDecodeError) as exc:
             line = getattr(exc, "lineno", 1) or 1
             parse_errors.append(
@@ -425,71 +426,9 @@ def _run_rules(
                     message=f"file could not be parsed: {exc}",
                 )
             )
-            continue
-        project.files.append(source)
-        for rule in rules.values():
-            findings.extend(rule.check_file(source, project))
-    for rule in rules.values():
-        findings.extend(rule.finish(project))
-    return findings, parse_errors, len(project.files)
-
-
-def _analyze_group(
-    payload: tuple[tuple[str, ...], tuple[str, ...], str],
-) -> tuple[list[Finding], list[Finding], int]:
-    """Picklable worker: run one rule group over the full file set.
-
-    Every group re-parses the files so each worker has complete
-    cross-file context; the parse cost is small next to the rules.
-    """
-    codes, file_names, root_name = payload
-    rules = _select_rules(codes)
-    return _run_rules([Path(name) for name in file_names], Path(root_name), rules)
-
-
-def analyze_paths(
-    paths: Sequence[Path | str],
-    *,
-    root: Path | None = None,
-    select: Sequence[str] | None = None,
-    jobs: int | None = None,
-) -> AnalysisResult:
-    """Run the (selected) rules over every ``.py`` file under ``paths``.
-
-    ``jobs=None`` (the default) runs everything in-process. Any other
-    value is handed to :func:`repro.parallel.parallel_map` after
-    splitting the rules into groups — results are merged and re-sorted,
-    so the findings are identical to a serial run.
-    """
-    resolved_paths = [Path(p) for p in paths]
-    missing = [p for p in resolved_paths if not p.exists()]
-    if missing:
-        raise FileNotFoundError(f"no such path(s): {', '.join(map(str, missing))}")
-    if root is None:
-        root = find_project_root(resolved_paths[0]) if resolved_paths else Path.cwd()
-    rules = _select_rules(select)
-    files = list(_iter_python_files(resolved_paths))
-
-    if jobs is None or jobs == 1 or len(rules) <= 1:
-        findings, parse_errors, files_checked = _run_rules(files, root, rules)
-    else:
-        from repro.parallel import parallel_map, resolve_jobs
-
-        n_jobs = resolve_jobs(jobs if jobs > 0 else None)
-        groups = _rule_groups(tuple(rules), n_jobs)
-        payloads = [
-            (group, tuple(str(path) for path in files), str(root)) for group in groups
-        ]
-        outcomes = parallel_map(_analyze_group, payloads, jobs=n_jobs)
-        findings = [finding for group_findings, _, _ in outcomes for finding in group_findings]
-        # every group parses the same files: take errors/count from the first
-        parse_errors = outcomes[0][1] if outcomes else []
-        files_checked = outcomes[0][2] if outcomes else 0
-
-    findings.sort(key=lambda f: (f.path, f.line, f.column, f.rule))
     return AnalysisResult(
-        findings=findings,
-        files_checked=files_checked,
+        findings=_run_rules(sources, root, rules),
+        files_checked=len(sources),
         rules_run=tuple(rules),
         parse_errors=parse_errors,
     )
@@ -504,15 +443,9 @@ def analyze_source(
 ) -> AnalysisResult:
     """Analyze an in-memory snippet — the test-fixture entry point."""
     rules = _select_rules(select)
-    project = Project(root=root if root is not None else Path.cwd())
     source = SourceFile.parse(Path(filename), text=text)
-    project.files.append(source)
-    findings: list[Finding] = []
-    for rule in rules.values():
-        findings.extend(rule.check_file(source, project))
-    for rule in rules.values():
-        findings.extend(rule.finish(project))
-    findings.sort(key=lambda f: (f.path, f.line, f.column, f.rule))
     return AnalysisResult(
-        findings=findings, files_checked=1, rules_run=tuple(rules)
+        findings=_run_rules([source], root if root is not None else Path.cwd(), rules),
+        files_checked=1,
+        rules_run=tuple(rules),
     )

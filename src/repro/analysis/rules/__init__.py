@@ -8,9 +8,7 @@ RP001  :mod:`~repro.analysis.rules.numerics`       no exact float equality on di
 RP002  :mod:`~repro.analysis.rules.contracts_xref` entry points validate their domain
 RP003  :mod:`~repro.analysis.rules.api_surface`    ``__all__`` matches real bindings
 RP004  :mod:`~repro.analysis.rules.oracles`        naive oracles stay out of serving code
-RP005  :mod:`~repro.analysis.rules.hygiene`        no mutable default arguments
 RP006  :mod:`~repro.analysis.rules.theory`         paper citations exist in THEORY.md
-RP007  :mod:`~repro.analysis.rules.hygiene`        no bare/overbroad ``except``
 RP008  :mod:`~repro.analysis.rules.api_surface`    exported metrics have axiom coverage
 RP009  :mod:`~repro.analysis.rules.batching`       all-pairs loops use the batch layer
 RP010  :mod:`~repro.analysis.rules.verify_xref`    exported metrics have a fuzz oracle
@@ -34,7 +32,6 @@ from repro.analysis.rules.contracts_xref import DomainValidationRule
 from repro.analysis.rules.flow_hygiene import EnvHygieneRule, ValidateBeforeMutateRule
 from repro.analysis.rules.flow_numerics import DtypeSoundnessRule
 from repro.analysis.rules.flow_safety import ParallelSafetyRule, UnorderedIterationRule
-from repro.analysis.rules.hygiene import MutableDefaultRule, OverbroadExceptRule
 from repro.analysis.rules.numerics import FloatDistanceComparisonRule
 from repro.analysis.rules.obs_xref import ObsInstrumentationRule
 from repro.analysis.rules.oracles import OracleImportRule
@@ -46,9 +43,7 @@ __all__ = [
     "DomainValidationRule",
     "DunderAllRule",
     "OracleImportRule",
-    "MutableDefaultRule",
     "TheoremCitationRule",
-    "OverbroadExceptRule",
     "MetricTestMatrixRule",
     "PairwiseLoopRule",
     "OracleCoverageRule",

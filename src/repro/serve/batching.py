@@ -115,7 +115,7 @@ class DistanceBatcher:
                     (i, j): float(matrix[i, j])
                     for i, j, _ in batch.waiters
                 }
-        except Exception as exc:  # repro: noqa[RP007] — every waiting request must receive the failure; swallowing here would hang clients forever
+        except Exception as exc:  # noqa: BLE001 — every waiting request must receive the failure; swallowing here would hang clients forever
             for _, _, future in batch.waiters:
                 if not future.done():
                     future.set_exception(exc)

@@ -198,7 +198,7 @@ class ReproServer:
             return 400, {"error": str(exc)}, None
         except ReproError as exc:
             return 409, {"error": str(exc)}, None
-        except Exception as exc:  # repro: noqa[RP007] — the 500 must reach the client before the failure is re-raised into the server log
+        except Exception as exc:  # noqa: BLE001 — the 500 must reach the client before the failure is re-raised into the server log
             return 500, {"error": f"internal error: {type(exc).__name__}"}, exc
 
 

@@ -145,7 +145,7 @@ class ShardMap:
         """Rebuild a map from :meth:`snapshot` output (validates the layout)."""
         try:
             payload = pickle.loads(blob)
-        except Exception as exc:  # repro: noqa[RP007] — unpickling a foreign blob can raise nearly anything; all of it means "bad snapshot"
+        except Exception as exc:
             raise SnapshotError(f"snapshot blob failed to unpickle: {exc}") from exc
         if not isinstance(payload, dict) or payload.get("version") != SNAPSHOT_VERSION:
             found = (

@@ -185,7 +185,7 @@ def _run_round_checks(
                 failures = run_check(
                     info.check_id, sample, include_expensive=include_expensive
                 )
-            except Exception as exc:  # repro: noqa[RP007] — a crash IS a finding
+            except Exception as exc:  # noqa: BLE001 — a crash IS a finding
                 failures = [f"raised {type(exc).__name__}: {exc}"]
             if failures:
                 obs.add("verify.discrepancies", len(failures))

@@ -30,7 +30,7 @@ def _still_fails(check_id: str, rankings: Rankings, include_expensive: bool) -> 
         return bool(
             run_check(check_id, rankings, include_expensive=include_expensive)
         )
-    except Exception:  # repro: noqa[RP007] — a crash is a failure to preserve
+    except Exception:  # noqa: BLE001 — a crash is a failure to preserve
         return True
 
 

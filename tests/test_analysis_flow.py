@@ -9,21 +9,17 @@ Covers four layers:
 * **rule fixtures** — one flagging, one clean, and one suppressed
   fixture per rule (the self-application guarantee: each rule catches
   its planted violation);
-* **engine infrastructure** — result cache correctness and speed,
-  baseline gating, SARIF output, parallel rule-group equivalence.
+* **engine infrastructure** — baseline gating and SARIF output.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from pathlib import Path
 
 import pytest
 
 from repro.analysis.baseline import Baseline, apply_baseline, write_baseline
-from repro.analysis.cache import cache_key, load_cached, store_cached
-from repro.analysis.cli import _run_with_cache
 from repro.analysis.engine import (
     Project,
     SourceFile,
@@ -733,12 +729,18 @@ class TestRP016ValidateBeforeMutate:
         assert codes(result) == []
 
 
+#: One RP001 violation (exact float equality on a distance), on line 3.
+RP001_VIOLATION = (
+    "from repro.metrics import kendall\n"
+    "def check(a, b):\n"
+    "    return kendall(a, b) == 2.5\n"
+)
+
+
 class TestBaseline:
     def _result(self):
         return analyze_source(
-            "def f(x, acc=[]):\n    return acc\n",
-            filename="src/repro/fxp/bad.py",
-            select=["RP005"],
+            RP001_VIOLATION, filename="src/repro/fxp/bad.py", select=["RP001"]
         )
 
     def test_matching_entry_gates_finding(self, tmp_path):
@@ -775,7 +777,7 @@ class TestBaseline:
                 {
                     "schema": "repro.analysis/baseline-1",
                     "entries": [
-                        {"rule": "RP005", "path": "x.py", "message": "m", "reason": " "}
+                        {"rule": "RP001", "path": "x.py", "message": "m", "reason": " "}
                     ],
                 }
             ),
@@ -792,7 +794,7 @@ class TestBaseline:
                     "schema": "repro.analysis/baseline-1",
                     "entries": [
                         {
-                            "rule": "RP005",
+                            "rule": "RP001",
                             "path": "gone.py",
                             "message": "never matches",
                             "reason": "obsolete",
@@ -811,7 +813,7 @@ class TestBaseline:
         count = write_baseline(result, out)
         assert count == 1
         payload = json.loads(out.read_text(encoding="utf-8"))
-        assert payload["entries"][0]["rule"] == "RP005"
+        assert payload["entries"][0]["rule"] == "RP001"
         assert "TODO" in payload["entries"][0]["reason"]
 
     def test_shipped_baseline_has_no_stale_entries(self):
@@ -822,105 +824,21 @@ class TestBaseline:
         assert [f for f in gated.active if f.severity >= 2] == []
 
 
-class TestCache:
-    def test_key_changes_with_content_codes_and_version(self):
-        files = [("a.py", b"x = 1\n")]
-        base = cache_key(files, ("RP001",))
-        assert cache_key([("a.py", b"x = 2\n")], ("RP001",)) != base
-        assert cache_key(files, ("RP002",)) != base
-        assert cache_key(files, ("RP001",), ruleset="other") != base
-        assert cache_key(files, ("RP001",)) == base
-
-    def test_store_load_round_trip(self, tmp_path):
-        result = analyze_source("def f(x, acc=[]):\n    return acc\n", select=["RP005"])
-        key = cache_key([("s.py", b"whatever")], ("RP005",))
-        store_cached(tmp_path, key, result)
-        loaded = load_cached(tmp_path, key)
-        assert loaded is not None
-        assert [f.to_dict() for f in loaded.findings] == [
-            f.to_dict() for f in result.findings
-        ]
-        assert load_cached(tmp_path, "0" * 64) is None
-
-    def test_corrupt_entry_is_a_miss(self, tmp_path):
-        key = "a" * 64
-        (tmp_path / f"{key}.json").write_text("{not json", encoding="utf-8")
-        assert load_cached(tmp_path, key) is None
-
-    def test_warm_run_identical_and_5x_faster(self, tmp_path):
-        """Acceptance criterion: warm cached run returns identical
-        findings at least 5x faster than the cold run."""
-        target = [str(SRC / "repro")]
-        started = time.perf_counter()
-        cold = _run_with_cache(
-            target, root=REPO_ROOT, select=None, jobs=None,
-            use_cache=True, cache_dir=tmp_path,
-        )
-        cold_seconds = time.perf_counter() - started
-
-        started = time.perf_counter()
-        warm = _run_with_cache(
-            target, root=REPO_ROOT, select=None, jobs=None,
-            use_cache=True, cache_dir=tmp_path,
-        )
-        warm_seconds = time.perf_counter() - started
-
-        assert [f.to_dict() for f in warm.findings] == [
-            f.to_dict() for f in cold.findings
-        ]
-        assert warm.files_checked == cold.files_checked
-        assert warm_seconds * 5 <= cold_seconds, (cold_seconds, warm_seconds)
-
-    def test_no_cache_leaves_no_entries(self, tmp_path):
-        _run_with_cache(
-            [str(SRC / "repro" / "errors.py")], root=REPO_ROOT, select=["RP005"],
-            jobs=None, use_cache=False, cache_dir=tmp_path,
-        )
-        assert list(tmp_path.glob("*.json")) == []
-
-    def test_version_bump_invalidates(self, tmp_path, monkeypatch):
-        target = [str(SRC / "repro" / "errors.py")]
-        _run_with_cache(
-            target, root=REPO_ROOT, select=["RP005"], jobs=None,
-            use_cache=True, cache_dir=tmp_path,
-        )
-        first = set(tmp_path.glob("*.json"))
-        assert len(first) == 1
-        import repro.analysis.cache as cache_module
-
-        monkeypatch.setattr(cache_module, "RULESET_VERSION", "next-version")
-        _run_with_cache(
-            target, root=REPO_ROOT, select=["RP005"], jobs=None,
-            use_cache=True, cache_dir=tmp_path,
-        )
-        assert len(set(tmp_path.glob("*.json"))) == 2
-
-
-class TestParallelAnalysis:
-    def test_parallel_findings_match_serial(self):
-        paths = [str(SRC / "repro" / "metrics"), str(SRC / "repro" / "parallel.py")]
-        serial = analyze_paths(paths, root=REPO_ROOT)
-        parallel = analyze_paths(paths, root=REPO_ROOT, jobs=2)
-        assert [f.to_dict() for f in parallel.findings] == [
-            f.to_dict() for f in serial.findings
-        ]
-        assert parallel.files_checked == serial.files_checked
-
-
 class TestSarif:
     def test_sarif_structure_and_suppressions(self):
         result = analyze_source(
-            "def f(x, acc=[]):  # repro: noqa[RP005]\n"
-            "    return acc\n"
-            "def g(x, acc=[]):\n"
-            "    return acc\n",
-            select=["RP005"],
+            "from repro.metrics import kendall\n"
+            "def check(a, b):\n"
+            "    return kendall(a, b) == 2.5  # repro: noqa[RP001]\n"
+            "def check_again(a, b):\n"
+            "    return kendall(a, b) == 0.5\n",
+            select=["RP001"],
         )
         payload = json.loads(render_sarif(result))
         assert payload["version"] == "2.1.0"
         run = payload["runs"][0]
         assert run["tool"]["driver"]["name"] == "repro.analysis"
-        assert any(rule["id"] == "RP005" for rule in run["tool"]["driver"]["rules"])
+        assert any(rule["id"] == "RP001" for rule in run["tool"]["driver"]["rules"])
         results = run["results"]
         assert len(results) == 2
         suppressed = [r for r in results if r.get("suppressions")]

@@ -31,9 +31,7 @@ ALL_CODES = (
     "RP002",
     "RP003",
     "RP004",
-    "RP005",
     "RP006",
-    "RP007",
     "RP008",
     "RP009",
     "RP010",
@@ -254,27 +252,6 @@ class TestRP004OracleImports:
         assert codes(result) == []
 
 
-class TestRP005MutableDefaults:
-    def test_positive_list_literal_and_constructor(self):
-        result = analyze_source(
-            "def f(x, acc=[]):\n"
-            "    return acc\n"
-            "def g(x, *, table=dict()):\n"
-            "    return table\n",
-            select=["RP005"],
-        )
-        assert codes(result) == ["RP005", "RP005"]
-
-    def test_negative_none_sentinel(self):
-        result = analyze_source(
-            "def f(x, acc=None, scale=1.0, name='x', items=()):\n"
-            "    acc = [] if acc is None else acc\n"
-            "    return acc\n",
-            select=["RP005"],
-        )
-        assert codes(result) == []
-
-
 class TestRP006TheoremCitations:
     def _project(self, tmp_path: Path) -> Path:
         (tmp_path / "docs").mkdir()
@@ -327,36 +304,6 @@ class TestRP006TheoremCitations:
             'def f():\n    """Implements Theorem 42."""\n',
             root=tmp_path,
             select=["RP006"],
-        )
-        assert codes(result) == []
-
-
-class TestRP007OverbroadExcept:
-    def test_positive_bare_and_broad(self):
-        result = analyze_source(
-            "try:\n"
-            "    x = 1\n"
-            "except:\n"
-            "    pass\n"
-            "try:\n"
-            "    y = 2\n"
-            "except Exception:\n"
-            "    y = 0\n",
-            select=["RP007"],
-        )
-        assert codes(result) == ["RP007", "RP007"]
-
-    def test_negative_specific_or_reraising(self):
-        result = analyze_source(
-            "try:\n"
-            "    x = 1\n"
-            "except (KeyError, ValueError):\n"
-            "    pass\n"
-            "try:\n"
-            "    y = 2\n"
-            "except Exception as exc:\n"
-            "    raise RuntimeError('wrapped') from exc\n",
-            select=["RP007"],
         )
         assert codes(result) == []
 
@@ -867,44 +814,53 @@ class TestRP011ObsInstrumentation:
         assert codes(result) == []
 
 
+#: One RP001 violation (exact float equality on a distance), on line 3.
+RP001_VIOLATION = (
+    "from repro.metrics import kendall\n"
+    "def check(a, b):\n"
+    "    return kendall(a, b) == 2.5\n"
+)
+
+
+def rp001_marked(marker: str) -> str:
+    """The RP001 violation with ``marker`` as a trailing comment on its line."""
+    return RP001_VIOLATION.rstrip("\n") + f"  {marker}\n"
+
+
 class TestSuppressions:
     def test_noqa_silences_a_specific_code(self):
-        result = analyze_source(
-            "def f(x, acc=[]):  # repro: noqa[RP005]\n"
-            "    return acc\n",
-            select=["RP005"],
-        )
+        result = analyze_source(rp001_marked("# repro: noqa[RP001]"), select=["RP001"])
         assert codes(result) == []
-        assert [f.rule for f in result.findings] == ["RP005"]
+        assert [f.rule for f in result.findings] == ["RP001"]
         assert result.findings[0].suppressed
 
     def test_noqa_with_wrong_code_does_not_silence(self):
-        result = analyze_source(
-            "def f(x, acc=[]):  # repro: noqa[RP001]\n"
-            "    return acc\n",
-            select=["RP005"],
-        )
-        assert codes(result) == ["RP005"]
+        result = analyze_source(rp001_marked("# repro: noqa[RP002]"), select=["RP001"])
+        assert codes(result) == ["RP001"]
 
     def test_bare_noqa_silences_everything_on_the_line(self):
-        result = analyze_source(
-            "def f(x, acc=[]):  # repro: noqa\n"
-            "    return acc\n",
-            select=["RP005"],
-        )
+        result = analyze_source(rp001_marked("# repro: noqa"), select=["RP001"])
         assert codes(result) == []
+
+    def test_malformed_code_in_brackets_silences_nothing(self):
+        result = analyze_source(rp001_marked("# repro: noqa[rp009]"), select=["RP001"])
+        assert codes(result) == ["RP001"]
+
+    def test_semicolon_separated_codes_silence_nothing(self):
+        result = analyze_source(
+            rp001_marked("# repro: noqa[RP002;RP009]"), select=["RP001"]
+        )
+        assert codes(result) == ["RP001"]
 
 
 class TestReporters:
     def _result(self):
-        return analyze_source(
-            "def f(x, acc=[]):\n    return acc\n", select=["RP005"]
-        )
+        return analyze_source(RP001_VIOLATION, select=["RP001"])
 
     def test_text_report_has_location_and_summary(self):
         text = render_text(self._result())
-        assert "RP005" in text
-        assert ":1:" in text.splitlines()[0]
+        assert "RP001" in text
+        assert ":3:" in text.splitlines()[0]
         assert "1 error(s)" in text
 
     def test_json_report_round_trips(self):
@@ -912,7 +868,7 @@ class TestReporters:
         assert payload["schema"] == "repro.analysis/1"
         assert payload["errors"] == 1
         (finding,) = payload["findings"]
-        assert finding["rule"] == "RP005"
+        assert finding["rule"] == "RP001"
         assert finding["severity"] == "error"
         assert finding["suppressed"] is False
 
@@ -930,51 +886,75 @@ def _run_cli(*argv: str, cwd: Path = REPO_ROOT) -> subprocess.CompletedProcess:
     )
 
 
+def _write_violation(tmp_path: Path) -> Path:
+    bad = tmp_path / "bad.py"
+    bad.write_text(RP001_VIOLATION, encoding="utf-8")
+    return bad
+
+
 class TestCommandLine:
     def test_shipped_tree_is_clean(self):
         """Acceptance criterion: the shipped tree has zero unbaselined
-        findings under every rule (RP001–RP016)."""
-        completed = _run_cli("src", "--baseline", "analysis-baseline.json", "--no-cache")
+        findings under every rule."""
+        completed = _run_cli("src", "--baseline", "analysis-baseline.json")
         assert completed.returncode == 0, completed.stdout + completed.stderr
         assert "0 error(s)" in completed.stdout
 
     def test_seeded_violation_exits_nonzero(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text("def f(x, acc=[]):\n    return acc\n", encoding="utf-8")
-        completed = _run_cli(str(bad), cwd=tmp_path)
+        completed = _run_cli(str(_write_violation(tmp_path)), cwd=tmp_path)
         assert completed.returncode == 1
-        assert "RP005" in completed.stdout
+        assert "RP001" in completed.stdout
 
     def test_json_format(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text("try:\n    x = 1\nexcept:\n    pass\n", encoding="utf-8")
-        completed = _run_cli(str(bad), "--format", "json", cwd=tmp_path)
+        completed = _run_cli(str(_write_violation(tmp_path)), "--format", "json", cwd=tmp_path)
         assert completed.returncode == 1
         payload = json.loads(completed.stdout)
         assert payload["errors"] == 1
-        assert payload["findings"][0]["rule"] == "RP007"
+        assert payload["findings"][0]["rule"] == "RP001"
 
     def test_fail_on_never(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text("def f(x, acc=[]):\n    return acc\n", encoding="utf-8")
-        completed = _run_cli(str(bad), "--fail-on", "never", cwd=tmp_path)
+        completed = _run_cli(str(_write_violation(tmp_path)), "--fail-on", "never", cwd=tmp_path)
         assert completed.returncode == 0
 
     def test_list_rules(self):
         completed = _run_cli("--list-rules")
         assert completed.returncode == 0
-        for code in ALL_CODES:
-            assert code in completed.stdout
+        listed = [line.split()[0] for line in completed.stdout.splitlines() if line[:2] == "RP"]
+        assert tuple(listed) == ALL_CODES
 
     def test_select_subset(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text("def f(x, acc=[]):\n    return acc\n", encoding="utf-8")
-        completed = _run_cli(str(bad), "--select", "RP007", cwd=tmp_path)
-        assert completed.returncode == 0  # RP005 violation not selected
+        completed = _run_cli(str(_write_violation(tmp_path)), "--select", "RP002", cwd=tmp_path)
+        assert completed.returncode == 0  # RP001 violation not selected
 
     def test_missing_path_is_usage_error(self):
         completed = _run_cli("no/such/path.py")
         assert completed.returncode == 2
+
+    @pytest.mark.parametrize(
+        ("payload", "field"),
+        [
+            ([], "JSON object"),
+            ({"schema": "repro.analysis/baseline-1", "entries": 5}, "'entries'"),
+            (
+                {
+                    "schema": "repro.analysis/baseline-1",
+                    "entries": [{"rule": "RP001", "message": "m", "reason": "r"}],
+                },
+                "'path'",
+            ),
+        ],
+        ids=["top-level-list", "entries-not-a-list", "entry-without-path"],
+    )
+    def test_malformed_baseline_is_usage_error(self, tmp_path, payload, field):
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps(payload), encoding="utf-8")
+        completed = _run_cli(
+            str(_write_violation(tmp_path)), "--baseline", str(baseline), cwd=tmp_path
+        )
+        assert completed.returncode == 2, completed.stderr
+        assert "Traceback" not in completed.stderr
+        assert str(baseline) in completed.stderr
+        assert field in completed.stderr
 
 
 class TestUnparseableFiles:
