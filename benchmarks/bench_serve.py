@@ -2,8 +2,8 @@
 
 Simulates 10,000+ concurrent users against an in-process
 :class:`repro.serve.RankingService` — the same object the HTTP layer
-wraps, so the numbers measure the serving core (batching, caching,
-sharded aggregation) without socket noise. Every user is an asyncio
+wraps, so the numbers measure the serving core (batching and sharded
+aggregation) without socket noise. Every user is an asyncio
 task with its own deterministic RNG issuing a mix of distance queries
 (75%), ranking updates (15%) and consensus queries (10%) over a shared
 set of domains; a sampled subset of distance responses is checked
@@ -108,7 +108,7 @@ async def _user(
 
 
 async def _run_load(seed: int) -> dict:
-    service = RankingService(ServeConfig(cache_capacity=4096))
+    service = RankingService(ServeConfig())
     pools = _build_pools(seed)
     # seed every domain so consensus queries have voters from the start
     for index, (domain, pool) in enumerate(pools):
@@ -157,10 +157,6 @@ def _measure(seed: int = 0) -> dict:
         "coalesced_requests": coalesced,
         "mean_batch": round(coalesced / flushes, 2) if flushes else 0.0,
         "matrix_calls": int(counters.get("metrics.batch.matrix_calls", 0)),
-    }
-    result["cache"] = {
-        "hits": int(counters.get("serve.cache.hits", 0)),
-        "misses": int(counters.get("serve.cache.misses", 0)),
     }
     # the committed baseline should not freeze per-run service internals
     result.pop("service_stats")

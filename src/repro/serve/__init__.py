@@ -5,9 +5,9 @@ consensus queries and per-user ranking updates, backed by a shard map of
 :class:`~repro.aggregate.online.OnlineMedianAggregator` instances keyed
 by domain through the interned :class:`~repro.core.codec.DomainCodec`.
 Concurrent distance requests coalesce into single
-:func:`~repro.metrics.batch.pairwise_distance_matrix` calls, answers are
-LRU-cached with exact invalidation on shard mutation, and the whole
-shard map snapshots/restores across process boundaries through the
+:func:`~repro.metrics.batch.pairwise_distance_matrix` calls, consensus
+answers are memoized on their shard until its next mutation, and the
+whole shard map snapshots/restores across process boundaries through the
 existing ``__reduce__`` paths. Every response is bit-for-bit equal to
 the serial in-process computation — the stateful test harness in
 ``tests/test_serve_stateful.py`` proves it operation by operation. See
@@ -15,7 +15,6 @@ the serial in-process computation — the stateful test harness in
 """
 
 from repro.serve.batching import DistanceBatcher
-from repro.serve.cache import ResultCache
 from repro.serve.config import ServeConfig, config_from_env
 from repro.serve.http import ReproServer
 from repro.serve.service import CONSENSUS_KINDS, RankingService
@@ -26,7 +25,6 @@ __all__ = [
     "DistanceBatcher",
     "RankingService",
     "ReproServer",
-    "ResultCache",
     "ServeConfig",
     "Shard",
     "ShardMap",

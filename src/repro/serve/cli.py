@@ -3,13 +3,15 @@
 .. code-block:: console
 
     python -m repro.serve --port 8321
-    python -m repro.serve --port 0 --cache 4096
+    python -m repro.serve --port 0 --jobs 4
     python -m repro serve --port 8321        # via the umbrella CLI
 
 Flags override the ``REPRO_SERVE_*`` environment defaults (see
 :mod:`repro.serve.config`). Distance batching takes no flag: concurrent
 requests coalesce per event-loop tick and a lone request waits on no
-timer (see :mod:`repro.serve.batching`). ``--trace out.jsonl`` arms a
+timer (see :mod:`repro.serve.batching`). A flag value that
+:class:`~repro.serve.config.ServeConfig` rejects (``--jobs 0``,
+``--port 70000``) is a usage error. ``--trace out.jsonl`` arms a
 :mod:`repro.obs` session around the whole server lifetime so every
 request span and ``serve.*`` counter lands in the trace file.
 """
@@ -37,9 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--host", default=None, help="bind address")
     parser.add_argument("--port", type=int, default=None, help="TCP port (0 = ephemeral)")
     parser.add_argument(
-        "--cache", type=int, default=None, metavar="N", help="result-cache capacity"
-    )
-    parser.add_argument(
         "--jobs", type=int, default=None, help="workers for large distance batches"
     )
     parser.add_argument(
@@ -56,7 +55,6 @@ def resolve_config(args: argparse.Namespace) -> ServeConfig:
         for name, value in (
             ("host", args.host),
             ("port", args.port),
-            ("cache_capacity", args.cache),
             ("jobs", args.jobs),
         )
         if value is not None
@@ -78,8 +76,12 @@ async def _run(config: ServeConfig) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    config = resolve_config(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        config = resolve_config(args)
+    except ValueError as exc:
+        parser.error(str(exc))
     stack = contextlib.ExitStack()
     if args.trace:
         stack.enter_context(obs.session(args.trace))

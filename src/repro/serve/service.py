@@ -8,22 +8,19 @@ proven against the in-process API transfers to the wire protocol.
 Request flow:
 
 * **update / remove** mutate one shard through the voter-keyed
-  aggregator API, bump the shard version, and invalidate every cached
-  answer scoped to that shard's codec — a mutation can never leave a
-  stale consensus in the cache.
+  aggregator API; the shard bumps its version and drops its memoized
+  consensus answers (:mod:`repro.serve.shards`).
 * **distance** resolves voter references against the shard *at request
   time* (snapshot semantics: a concurrent update does not retroactively
-  change an enqueued query), consults the LRU cache (keyed on codec
-  identity + the rankings themselves — content-addressed, so immune to
-  shard churn by construction), and otherwise awaits the
+  change an enqueued query) and awaits the
   :class:`~repro.serve.batching.DistanceBatcher`, which coalesces
   concurrent requests into one ``pairwise_distance_matrix`` call.
 * **consensus** answers scores/top-k/full/partial queries straight from
   the shard's online aggregator (bit-for-bit equal to the offline batch
-  path), cached under the shard's codec until the next mutation. The
-  ``kemeny`` kind instead runs the SCC-condensed *exact* solver over the
-  shard's current voter rankings when the instance is certifiably small
-  (every dominance component within the DP cap), raising otherwise.
+  path), memoized on the shard until its next mutation. The ``kemeny``
+  kind instead runs the SCC-condensed *exact* solver over the shard's
+  current voter rankings when the instance is certifiably small (every
+  dominance component within the DP cap), raising otherwise.
 * **snapshot / restore** round-trip the whole shard map through the
   existing ``__reduce__`` pickle paths.
 
@@ -47,9 +44,8 @@ from repro.errors import AggregationError
 import repro.metrics.plugins  # noqa: F401 — registers the first-party metric plugins
 from repro.metrics.registry import get_metric
 from repro.serve.batching import DistanceBatcher
-from repro.serve.cache import ResultCache
 from repro.serve.config import ServeConfig
-from repro.serve.shards import Shard, ShardMap
+from repro.serve.shards import MemoStats, Shard, ShardMap
 
 __all__ = ["RankingService", "CONSENSUS_KINDS"]
 
@@ -83,7 +79,6 @@ class RankingService:
     def __init__(self, config: ServeConfig | None = None) -> None:
         self._config = config if config is not None else ServeConfig()
         self._shards = ShardMap(tie=self._config.tie)
-        self._cache = ResultCache(self._config.cache_capacity)
         self._batcher = DistanceBatcher(jobs=self._config.jobs)
 
     @property
@@ -91,8 +86,9 @@ class RankingService:
         return self._config
 
     @property
-    def cache(self) -> ResultCache:
-        return self._cache
+    def cache(self) -> MemoStats:
+        """Consensus-memo counters; perfbench reads ``cache.stats``."""
+        return self._shards.memo_stats
 
     @property
     def shards(self) -> ShardMap:
@@ -109,7 +105,6 @@ class RankingService:
         with _route("update"):
             shard = self._shards.shard_for(domain, create=True)
             replaced = shard.update(voter, ranking)
-            self._cache.invalidate(shard.codec)
             return {
                 "voter": voter,
                 "replaced": replaced,
@@ -122,7 +117,6 @@ class RankingService:
         with _route("remove"):
             shard = self._shards.shard_for(domain)
             shard.remove(voter)
-            self._cache.invalidate(shard.codec)
             return {"voter": voter, "voters": len(shard), "version": shard.version}
 
     # ------------------------------------------------------------------
@@ -153,7 +147,7 @@ class RankingService:
         metric: str = "kendall",
         p: float = 0.5,
     ) -> float:
-        """``d(sigma, tau)`` under ``metric`` — batched, cached, bit-exact.
+        """``d(sigma, tau)`` under ``metric`` — batched and bit-exact.
 
         ``sigma`` / ``tau`` are literal rankings or voter-id references
         (resolved against the shard when the request is *accepted*, so
@@ -173,23 +167,7 @@ class RankingService:
             second = self._resolve_ranking(shard, key, tau)
             # stateless queries (no shard yet) still share the interned codec
             codec = shard.codec if shard is not None else DomainCodec.for_domain(key)
-            return await self._distance_resolved(codec, first, second, canonical, p)
-
-    async def _distance_resolved(
-        self,
-        codec: DomainCodec,
-        first: PartialRanking,
-        second: PartialRanking,
-        canonical: str,
-        p: float,
-    ) -> float:
-        cache_key = (canonical, p, frozenset((first, second)))
-        cached = self._cache.get(codec, cache_key)
-        if cached is not None:
-            return float(cached)  # type: ignore[arg-type]
-        value = await self._batcher.distance(codec, first, second, canonical, p)
-        self._cache.put(codec, cache_key, value)
-        return value
+            return await self._batcher.distance(codec, first, second, canonical, p)
 
     async def consensus(
         self,
@@ -206,8 +184,8 @@ class RankingService:
         via SCC decomposition, raising :class:`AggregationError` (HTTP
         409) when a dominance component exceeds the exact-DP cap — exact
         consensus on easy instances, an explicit refusal (fall back to
-        ``full``) on hard ones. Answers are cached under the shard's
-        codec and invalidated by any mutation of that shard.
+        ``full``) on hard ones. Answers are memoized on the shard until
+        its next mutation; a bad ``k`` raises before anything is stored.
         """
         with _route("consensus"):
             if kind not in CONSENSUS_KINDS:
@@ -218,44 +196,38 @@ class RankingService:
             if kind == "topk" and k is None:
                 raise AggregationError("consensus kind 'topk' requires k")
             shard = self._shards.shard_for(domain)
-            cache_key = ("consensus", kind, k)
-            cached = self._cache.get(shard.codec, cache_key)
-            if cached is not None:
-                return cached
             aggregator = shard.aggregator
-            value: object
-            if kind == "scores":
-                value = aggregator.scores()
-            elif kind == "full":
-                value = aggregator.full_ranking()
-            elif kind == "partial":
-                value = aggregator.partial_ranking()
-            elif kind == "kemeny":
-                # the voter map is the profile; require_exact certifies
-                # the answer or raises before any exponential work
-                value = kemeny_decomposed(
-                    tuple(shard.voters.values()), require_exact=True
-                ).ranking
-            else:
-                value = aggregator.top_k(int(k))  # type: ignore[arg-type]
-            self._cache.put(shard.codec, cache_key, value)
-            return value
+
+            def compute() -> object:
+                if kind == "scores":
+                    return aggregator.scores()
+                if kind == "full":
+                    return aggregator.full_ranking()
+                if kind == "partial":
+                    return aggregator.partial_ranking()
+                if kind == "kemeny":
+                    # the voter map is the profile; require_exact certifies
+                    # the answer or raises before any exponential work
+                    return kemeny_decomposed(
+                        tuple(shard.voters.values()), require_exact=True
+                    ).ranking
+                return aggregator.top_k(int(k))  # type: ignore[arg-type]
+
+            return shard.consensus((kind, k if kind == "topk" else None), compute)
 
     # ------------------------------------------------------------------
     # Snapshot / restore / stats
     # ------------------------------------------------------------------
 
     def snapshot(self) -> bytes:
-        """Serialize the full shard map (cache and batcher are derived state)."""
+        """Serialize the full shard map (memos and batcher are derived state)."""
         with _route("snapshot"):
             return self._shards.snapshot()
 
     def restore(self, blob: bytes) -> None:
-        """Replace the shard map from a snapshot; drops every cached answer."""
+        """Replace the shard map from a snapshot; memos and their counters start empty."""
         with _route("restore"):
-            restored = ShardMap.restore(blob)
-            self._shards = restored
-            self._cache.clear()
+            self._shards = ShardMap.restore(blob)
 
     async def drain(self) -> None:
         """Await every open distance batch (orderly shutdown)."""
@@ -266,10 +238,9 @@ class RankingService:
         return {
             "shards": len(self._shards),
             "voters": self._shards.total_voters(),
-            "cache": self._cache.stats,
+            "cache": self._shards.memo_stats.stats,
             "pending_batches": self._batcher.pending_groups(),
             "config": {
-                "cache_capacity": self._config.cache_capacity,
                 "tie": self._config.tie,
                 "jobs": self._config.jobs,
             },

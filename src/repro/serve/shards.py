@@ -5,8 +5,10 @@ interned :class:`~repro.core.codec.DomainCodec` (shard key and encode
 table), an :class:`~repro.aggregate.online.OnlineMedianAggregator`
 driven exclusively through its voter-keyed ``update``/``forget`` API,
 the voters' current rankings (needed to resolve voter-referenced
-distance queries), and a monotonically increasing **version** — bumped
-on every mutation — that the result cache uses to prove freshness.
+distance queries), a monotonically increasing **version** bumped on
+every mutation, and a memo of the consensus answers computed at the
+current version. A mutation clears the memo as it bumps the version, so
+a memoized answer is never stale.
 
 The :class:`ShardMap` pickles through the existing ``__reduce__`` paths
 (the aggregator serializes as ``(items, tie, rows, voter rows)``,
@@ -18,7 +20,7 @@ boundaries byte-exactly; the codec re-interns on load.
 from __future__ import annotations
 
 import pickle
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 from repro import obs
 from repro.aggregate.median import MedianTie, _check_tie
@@ -27,7 +29,7 @@ from repro.core.codec import DomainCodec
 from repro.core.partial_ranking import Item, PartialRanking
 from repro.errors import AggregationError, ReproError
 
-__all__ = ["Shard", "ShardMap", "SnapshotError"]
+__all__ = ["MemoStats", "Shard", "ShardMap", "SnapshotError"]
 
 #: Bumped when the pickled snapshot layout changes.
 SNAPSHOT_VERSION = 1
@@ -37,16 +39,38 @@ class SnapshotError(ReproError, ValueError):
     """A snapshot blob was malformed or from an incompatible layout."""
 
 
+class MemoStats:
+    """Consensus-memo counters, summed over every shard of one map.
+
+    They exist because perfbench reads ``hits``, ``misses`` and
+    ``invalidations`` from ``RankingService.cache.stats`` and from
+    ``/v1/stats["cache"]``; nothing in the service depends on them.
+    """
+
+    __slots__ = ("hits", "misses", "invalidations")
+
+    def __init__(self) -> None:
+        self.hits = 0
+        self.misses = 0
+        self.invalidations = 0
+
+    @property
+    def stats(self) -> dict[str, int]:
+        return {"hits": self.hits, "misses": self.misses, "invalidations": self.invalidations}
+
+
 class Shard:
     """All serving state for one item domain."""
 
-    __slots__ = ("codec", "aggregator", "voters", "version")
+    __slots__ = ("codec", "aggregator", "voters", "version", "_memo", "_stats")
 
-    def __init__(self, domain: frozenset[Item], tie: MedianTie) -> None:
+    def __init__(self, domain: frozenset[Item], tie: MedianTie, stats: MemoStats) -> None:
         self.codec = DomainCodec.for_domain(domain)
         self.aggregator = OnlineMedianAggregator(domain, tie=tie)
         self.voters: dict[str, PartialRanking] = {}
         self.version = 0
+        self._memo: dict[tuple[str, int | None], object] = {}
+        self._stats = stats
 
     def __len__(self) -> int:
         return len(self.voters)
@@ -55,14 +79,35 @@ class Shard:
         """Insert or replace ``voter``'s ranking; returns True on replace."""
         replaced = self.aggregator.update(voter, ranking)
         self.voters[voter] = ranking
-        self.version += 1
+        self._bump()
         return replaced
 
     def remove(self, voter: str) -> None:
         """Drop ``voter`` entirely (raises if unknown)."""
         self.aggregator.forget(voter)
         del self.voters[voter]
+        self._bump()
+
+    def _bump(self) -> None:
+        """Advance the version and drop every answer memoized at the old one."""
         self.version += 1
+        self._stats.invalidations += len(self._memo)
+        self._memo.clear()
+
+    def consensus(self, key: tuple[str, int | None], compute: Callable[[], object]) -> object:
+        """The answer for ``key``, computed at most once per version.
+
+        ``compute`` runs on a miss; if it raises, nothing is stored. A
+        score dict is handed out as a copy, so a caller that edits it
+        cannot change later answers; rankings are immutable.
+        """
+        value = self._memo.get(key)
+        if value is None:
+            self._stats.misses += 1
+            value = self._memo[key] = compute()
+        else:
+            self._stats.hits += 1
+        return dict(value) if isinstance(value, dict) else value
 
     def resolve(self, voter: str) -> PartialRanking:
         """The ranking ``voter`` currently contributes (raises if unknown)."""
@@ -77,12 +122,13 @@ class Shard:
 class ShardMap:
     """Domain-keyed shards, created on first write, snapshot-portable."""
 
-    __slots__ = ("_tie", "_shards")
+    __slots__ = ("_tie", "_shards", "memo_stats")
 
     def __init__(self, tie: MedianTie = "mid") -> None:
         _check_tie(tie)
         self._tie: MedianTie = tie
         self._shards: dict[frozenset[Item], Shard] = {}
+        self.memo_stats = MemoStats()
 
     def __len__(self) -> int:
         return len(self._shards)
@@ -110,7 +156,7 @@ class ShardMap:
                     f"no shard holds a domain of {len(key)} items matching the "
                     "request; write to it first with an update"
                 )
-            shard = Shard(key, self._tie)
+            shard = Shard(key, self._tie, self.memo_stats)
             self._shards[key] = shard
             obs.add("serve.shards.created")
         return shard
@@ -142,7 +188,10 @@ class ShardMap:
 
     @classmethod
     def restore(cls, blob: bytes) -> "ShardMap":
-        """Rebuild a map from :meth:`snapshot` output (validates the layout)."""
+        """Rebuild a map from :meth:`snapshot` output (validates the layout).
+
+        The shards start with empty memos and the map with zero counters.
+        """
         try:
             payload = pickle.loads(blob)
         except Exception as exc:
@@ -157,7 +206,7 @@ class ShardMap:
         restored = cls(tie=payload["tie"])
         for entry in payload["shards"]:
             domain = frozenset(entry["items"])
-            shard = Shard(domain, restored._tie)
+            shard = Shard(domain, restored._tie, restored.memo_stats)
             shard.aggregator = entry["aggregator"]
             shard.voters = dict(entry["voters"])
             shard.version = int(entry["shard_version"])

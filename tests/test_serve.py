@@ -1,4 +1,4 @@
-"""Concurrency, batching, caching and transport tests for repro.serve.
+"""Concurrency, batching, memoization and transport tests for repro.serve.
 
 The claims under test, in the order the module proves them:
 
@@ -11,9 +11,11 @@ The claims under test, in the order the module proves them:
 * **Order independence**: the same queries submitted in a different
   arrival order produce identical bits.
 * **Freshness**: a mutation arriving mid-batch never causes a stale
-  response — voter references resolve when the request is accepted, the
-  distance cache is content-addressed, and consensus entries are
-  invalidated by the mutation.
+  response — voter references resolve when the request is accepted, and
+  the mutation drops the shard's memoized consensus answers.
+* **Consensus memo**: an answer is computed once per shard version and
+  key, a failed query stores nothing, distances never touch the memo,
+  and a caller cannot edit a memoized answer through the value it got.
 * **Transport**: the HTTP/JSON layer round-trips every route, maps
   errors to 400/404/409, keeps connections alive, and closes them on
   malformed ``Content-Length`` framing.
@@ -46,12 +48,11 @@ from repro.obs import metrics, spans
 from repro.serve import (
     RankingService,
     ReproServer,
-    ResultCache,
     ServeConfig,
     SnapshotError,
     config_from_env,
 )
-from repro.serve.cli import build_parser, resolve_config
+from repro.serve.cli import build_parser, main, resolve_config
 from repro.serve.shards import SNAPSHOT_VERSION
 from tests.conftest import ForgedOnline
 
@@ -94,7 +95,7 @@ def run(coro: Any) -> Any:
 class TestCoalescing:
     def test_concurrent_requests_one_matrix_call(self):
         """Nine concurrent queries -> one flush, one kernel call, exact bits."""
-        service = RankingService(ServeConfig(cache_capacity=0))
+        service = RankingService(ServeConfig())
         rankings = _rankings(6)
         pairs = [(rankings[i], rankings[(i + 1) % 6]) for i in range(6)]
         pairs += [
@@ -120,7 +121,7 @@ class TestCoalescing:
 
     def test_duplicate_queries_coalesce_and_dedup(self):
         """The same pair asked twice joins one batch of two distinct rankings."""
-        service = RankingService(ServeConfig(cache_capacity=0))
+        service = RankingService(ServeConfig())
         sigma, tau = _rankings(2)
 
         async def fire() -> list[float]:
@@ -139,7 +140,7 @@ class TestCoalescing:
         assert first == second == flipped == kendall(sigma, tau, 0.5)
 
     def test_distinct_metric_groups_flush_separately(self):
-        service = RankingService(ServeConfig(cache_capacity=0))
+        service = RankingService(ServeConfig())
         sigma, tau = _rankings(2)
 
         async def fire() -> list[float]:
@@ -157,7 +158,7 @@ class TestCoalescing:
 
     def test_metric_aliases_share_a_batch(self):
         """k_prof and kendall are the same canonical group."""
-        service = RankingService(ServeConfig(cache_capacity=0))
+        service = RankingService(ServeConfig())
         sigma, tau = _rankings(2)
 
         async def fire() -> list[float]:
@@ -213,7 +214,7 @@ class TestCoalescing:
         assert value == kendall(sigma, tau, 0.5)
 
     def test_single_ranking_batch_answers_zero_without_kernel(self):
-        service = RankingService(ServeConfig(cache_capacity=0))
+        service = RankingService(ServeConfig())
         (sigma,) = _rankings(1)
 
         with obs.capture():
@@ -264,12 +265,12 @@ class TestFreshness:
             return first, after, hits_before_mutation
 
         first, after, hits = run(scenario())
-        assert hits >= 1  # the repeat was served from cache...
+        assert hits == 1  # the repeat was served from the memo...
         assert first == median_scores([r1])
         assert after == median_scores([r1, r2])  # ...and the mutation dropped it
 
-    def test_distance_cache_is_content_addressed(self):
-        """Cached distances key on the rankings, so churn cannot stale them."""
+    def test_voter_reference_follows_updates(self):
+        """A reference answers for the voter's current ranking; old pairs keep theirs."""
         old, new, probe = _rankings(3)
 
         async def scenario() -> tuple[float, float, float]:
@@ -300,7 +301,7 @@ class TestFreshness:
             await service.update(DOMAIN, "alice", r1)
             blob = service.snapshot()
             await service.update(DOMAIN, "bob", r2)
-            await service.consensus(DOMAIN, kind="scores")  # cached under 2 voters
+            await service.consensus(DOMAIN, kind="scores")  # memoized under 2 voters
             service.restore(blob)
             restored = await service.consensus(DOMAIN, kind="scores")
             return restored, median_scores([r1])
@@ -331,7 +332,7 @@ class TestKemenyConsensus:
     def test_mutation_invalidates_kemeny_cache(self):
         r1, r2, r3 = _rankings(3, seed=13)
 
-        async def scenario() -> tuple[PartialRanking, int, PartialRanking]:
+        async def scenario() -> tuple[PartialRanking, int, PartialRanking, dict]:
             service = RankingService(ServeConfig())
             await service.update(DOMAIN, "a", r1)
             await service.update(DOMAIN, "b", r2)
@@ -341,10 +342,11 @@ class TestKemenyConsensus:
             hits = service.cache.hits
             await service.update(DOMAIN, "c", r3)
             after = await service.consensus(DOMAIN, kind="kemeny")
-            return first, hits, after
+            return first, hits, after, service.cache.stats
 
-        first, hits, after = run(scenario())
-        assert hits >= 1
+        first, hits, after, stats = run(scenario())
+        assert hits == 1  # the repeat hit; the query after the update missed
+        assert stats == {"hits": 1, "misses": 2, "invalidations": 1}
         assert first == kemeny_optimal([r1, r2])[0]
         assert after == kemeny_optimal([r1, r2, r3])[0]
 
@@ -382,6 +384,86 @@ class TestKemenyConsensus:
         assert counters["serve.requests.consensus"] == 1
         assert counters["kemeny.scc.components"] >= 1
         assert counters["kemeny.scc.largest"] >= 1
+
+
+# ----------------------------------------------------------------------
+# Consensus memo
+# ----------------------------------------------------------------------
+
+
+async def _service_with(*rankings: PartialRanking) -> RankingService:
+    service = RankingService(ServeConfig())
+    for index, ranking in enumerate(rankings):
+        await service.update(DOMAIN, f"v{index}", ranking)
+    return service
+
+
+class TestConsensusMemo:
+    def test_scores_answer_is_a_copy(self):
+        """Editing a returned score dict cannot change the next answer."""
+        rankings = _rankings(2)
+
+        async def scenario() -> dict:
+            service = await _service_with(*rankings)
+            scores = await service.consensus(DOMAIN, kind="scores")
+            scores[0] = 99
+            return await service.consensus(DOMAIN, kind="scores")
+
+        assert run(scenario()) == median_scores(rankings)
+
+    def test_k_is_ignored_outside_topk(self):
+        """``full`` asked with k=2 and k=3 shares one memo entry."""
+
+        async def scenario() -> RankingService:
+            service = await _service_with(*_rankings(2))
+            first = await service.consensus(DOMAIN, kind="full", k=2)
+            assert await service.consensus(DOMAIN, kind="full", k=3) == first
+            return service
+
+        service = run(scenario())
+        assert (service.cache.misses, service.cache.hits) == (1, 1)
+
+    @pytest.mark.parametrize("k", [0, len(DOMAIN) + 1])
+    def test_bad_k_stores_nothing(self, k):
+        async def scenario() -> RankingService:
+            service = await _service_with(*_rankings(2))
+            with pytest.raises(AggregationError):
+                await service.consensus(DOMAIN, kind="topk", k=k)
+            await service.update(DOMAIN, "late", _rankings(3)[2])
+            return service
+
+        service = run(scenario())
+        assert service.cache.hits == 0
+        assert service.cache.invalidations == 0  # the update dropped no entry
+
+    def test_distances_never_touch_the_counters(self):
+        sigma, tau = _rankings(2)
+
+        async def scenario() -> RankingService:
+            service = await _service_with(sigma)
+            await service.distance(DOMAIN, sigma, tau)
+            await service.distance(DOMAIN, "v0", tau)
+            await service.distance(DOMAIN, sigma, tau)
+            return service
+
+        assert run(scenario()).cache.stats == {"hits": 0, "misses": 0, "invalidations": 0}
+
+    def test_stats_shape(self):
+        """perfbench reads int hits, misses and invalidations from ``cache.stats``."""
+
+        async def scenario() -> RankingService:
+            service = await _service_with(*_rankings(2))
+            await service.consensus(DOMAIN, kind="scores")
+            await service.consensus(DOMAIN, kind="scores")
+            await service.update(DOMAIN, "late", _rankings(3)[2])
+            return service
+
+        service = run(scenario())
+        stats = service.cache.stats
+        assert stats == {"hits": 1, "misses": 1, "invalidations": 1}
+        assert all(type(value) is int for value in stats.values())
+        assert service.stats()["cache"] == stats
+        assert set(service.stats()["config"]) == {"tie", "jobs"}
 
 
 # ----------------------------------------------------------------------
@@ -436,9 +518,7 @@ class TestHTTP:
         """Run an async scenario against a live ephemeral-port server."""
 
         async def wrapped():
-            server = ReproServer(
-                config=ServeConfig(port=0, cache_capacity=64)
-            )
+            server = ReproServer(config=ServeConfig(port=0))
             await server.start()
             try:
                 return await scenario(server)
@@ -476,6 +556,32 @@ class TestHTTP:
             assert status == 200
             expected = median_scores([sigma])
             assert {item: score for item, score in body["result"]["scores"]} == expected
+
+        self._serve(scenario)
+
+    def test_http_stats_carry_memo_counters(self):
+        """perfbench reads int hits, misses and invalidations from /v1/stats."""
+        sigma = _rankings(1)[0]
+        domain = sorted(DOMAIN)
+
+        async def scenario(server: ReproServer):
+            await _post(
+                server.port,
+                "/v1/update",
+                {"domain": domain, "voter": "a", "ranking": _literal(sigma)},
+            )
+            for _ in range(2):
+                await _post(server.port, "/v1/consensus", {"domain": domain, "kind": "full"})
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            try:
+                status, body = await _request_on(reader, writer, "GET", "/v1/stats", None)
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            assert status == 200
+            cache = body["stats"]["cache"]
+            assert cache == {"hits": 1, "misses": 1, "invalidations": 0}
+            assert all(type(cache[name]) is int for name in ("hits", "misses", "invalidations"))
 
         self._serve(scenario)
 
@@ -801,69 +907,52 @@ class TestSnapshotProcessBoundary:
 
 
 # ----------------------------------------------------------------------
-# Cache + config units
+# Config units
 # ----------------------------------------------------------------------
-
-
-class TestResultCache:
-    def test_lru_eviction_order(self):
-        cache = ResultCache(2)
-        cache.put("s", "a", 1)
-        cache.put("s", "b", 2)
-        assert cache.get("s", "a") == 1  # refresh a; b is now LRU
-        cache.put("s", "c", 3)
-        assert cache.get("s", "b") is None
-        assert cache.get("s", "a") == 1
-        assert cache.stats["evictions"] == 1
-
-    def test_scope_invalidation_is_exact(self):
-        cache = ResultCache(8)
-        cache.put("alpha", "k1", 1)
-        cache.put("alpha", "k2", 2)
-        cache.put("beta", "k1", 3)
-        assert cache.invalidate("alpha") == 2
-        assert cache.get("alpha", "k1") is None
-        assert cache.get("beta", "k1") == 3
-        assert cache.invalidate("alpha") == 0
-
-    def test_capacity_zero_disables(self):
-        cache = ResultCache(0)
-        cache.put("s", "k", 1)
-        assert cache.get("s", "k") is None
-        assert len(cache) == 0
-
-    def test_negative_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            ResultCache(-1)
 
 
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            ServeConfig(cache_capacity=-1)
-        with pytest.raises(ValueError):
             ServeConfig(port=70000)
+        with pytest.raises(ValueError):
+            ServeConfig(port=-1)
+        with pytest.raises(ValueError, match="jobs"):
+            ServeConfig(jobs=0)
+        assert ServeConfig(jobs=-1).jobs == -1  # every CPU
 
     def test_env_roundtrip(self):
         config = config_from_env(
             {
                 "REPRO_SERVE_HOST": "0.0.0.0",
                 "REPRO_SERVE_PORT": "9000",
-                "REPRO_SERVE_CACHE": "16",
                 "REPRO_SERVE_JOBS": "2",
             }
         )
-        assert config == ServeConfig(
-            host="0.0.0.0", port=9000, cache_capacity=16, jobs=2
-        )
+        assert config == ServeConfig(host="0.0.0.0", port=9000, jobs=2)
 
     def test_malformed_env_warns_and_defaults(self):
-        with pytest.warns(RuntimeWarning):
-            config = config_from_env({"REPRO_SERVE_CACHE": "lots"})
-        assert config.cache_capacity == ServeConfig().cache_capacity
+        for name, raw in (
+            ("REPRO_SERVE_PORT", "lots"),
+            ("REPRO_SERVE_PORT", "70000"),
+            ("REPRO_SERVE_JOBS", "lots"),
+            ("REPRO_SERVE_JOBS", "0"),
+        ):
+            with pytest.warns(RuntimeWarning, match=name):
+                config = config_from_env({name: raw})
+            assert config == ServeConfig()
 
-    def test_cli_flags_override_env(self):
-        args = build_parser().parse_args(["--port", "0", "--cache", "7"])
+    def test_cli_flags_override_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SERVE_PORT", "9000")
+        monkeypatch.setenv("REPRO_SERVE_JOBS", "2")
+        args = build_parser().parse_args(["--port", "0", "--jobs", "3"])
         config = resolve_config(args)
         assert config.port == 0
-        assert config.cache_capacity == 7
+        assert config.jobs == 3
+
+    @pytest.mark.parametrize("flags", [["--jobs", "0"], ["--port", "70000"]])
+    def test_rejected_flag_is_a_usage_error(self, flags, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(flags)
+        assert exit_info.value.code == 2
+        assert "error:" in capsys.readouterr().err

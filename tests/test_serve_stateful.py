@@ -4,7 +4,7 @@ Every response from :class:`repro.serve.RankingService` is compared
 **bit-for-bit** against a serial in-process model: a plain
 ``voter -> ranking`` dict per domain, with distances recomputed by the
 direct two-ranking metrics and consensus by the offline median
-aggregators. The service may batch, cache, shard, snapshot and restore
+aggregators. The service may batch, memoize, shard, snapshot and restore
 however it likes — the model knows nothing of any of that, so agreement
 on every operation proves the serving machinery is semantically
 invisible.
@@ -61,7 +61,7 @@ _SAVED_LIMIT = 4
 def expected_distance(
     sigma: PartialRanking, tau: PartialRanking, metric: str, p: float = 0.5
 ) -> float:
-    """The serial ground truth the batched/cached service must reproduce."""
+    """The serial ground truth the batched service must reproduce."""
     if metric == "kendall":
         return kendall(sigma, tau, p)
     if metric == "footrule":
@@ -87,7 +87,7 @@ class ServeModelHarness:
     def __init__(self, config: ServeConfig | None = None) -> None:
         self.loop = asyncio.new_event_loop()
         self.service = RankingService(
-            config if config is not None else ServeConfig(cache_capacity=32)
+            config if config is not None else ServeConfig()
         )
         self.model: Model = {}
         self.saved: list[tuple[bytes, Model]] = []
