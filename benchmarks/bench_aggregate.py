@@ -15,7 +15,9 @@ Three modes:
   any kernel is more than 2× slower than the committed baseline, or any
   kernel-vs-dict speedup fell below half its committed value (the
   speedup-ratio check is machine-independent; the absolute check assumes
-  comparable hardware — see docs/PERFORMANCE.md).
+  comparable hardware — see docs/PERFORMANCE.md). The
+  ``aggregate_exhaustive`` case also fails the gate when exact
+  ``aggregate()`` disagrees with the scalar enumerator on any answer.
 """
 
 from __future__ import annotations
@@ -24,9 +26,15 @@ import os
 
 from repro.aggregate.batch import median_scores_batch, median_top_k_batch
 from repro.aggregate.kemeny import pair_cost_array
+from repro.aggregate.minmax import OBJECTIVES, aggregate
 from repro.aggregate.online import OnlineMedianAggregator
 from repro.generators.workloads import random_profile_workload
-from repro.verify.reference import median_scores_dict, median_top_k_dict
+from repro.metrics.registry import registered_metrics
+from repro.verify.reference import (
+    aggregate_exhaustive_scalar,
+    median_scores_dict,
+    median_top_k_dict,
+)
 
 _SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 
@@ -39,6 +47,11 @@ _ONLINE_RANKINGS = 24 if _SMOKE else 80
 _KEMENY_ITEMS = 60 if _SMOKE else 150
 _KEMENY_RANKINGS = 12 if _SMOKE else 40
 
+#: Exact aggregate(): every registered metric x both objectives over
+#: all 7! candidate rankings of one 15-voter profile.
+_EXHAUSTIVE_ITEMS = 7
+_EXHAUSTIVE_RANKINGS = 15
+
 #: Smoke-size names the --check gate compares (kernel paths only; the
 #: dict timings are recorded for the speedup ratios).
 _GATED_TIMINGS = (
@@ -46,6 +59,7 @@ _GATED_TIMINGS = (
     "median_top_k_array_s",
     "online_updates_s",
     "kemeny_cost_matrix_s",
+    "aggregate_exhaustive_s",
 )
 _GATED_SPEEDUPS = ("median_scores", "median_top_k", "online")
 
@@ -112,6 +126,28 @@ class TestOnlineAggregator:
         profile = _online_profile()
         scores = benchmark(_online_recompute, profile)
         assert scores == median_scores_batch(profile)
+
+
+def _exhaustive_profile():
+    return random_profile_workload(
+        _EXHAUSTIVE_ITEMS, _EXHAUSTIVE_RANKINGS, seed=3, tie_bias=0.5
+    ).rankings
+
+
+def _aggregate_every_metric(profile):
+    """Exact ``aggregate()`` answers, one per (metric, objective)."""
+    return [
+        aggregate(profile, objective, plugin.name)
+        for plugin in registered_metrics()
+        for objective in OBJECTIVES
+    ]
+
+
+class TestExhaustiveAggregate:
+    def test_every_metric_and_objective(self, benchmark):
+        profile = _exhaustive_profile()
+        results = benchmark(_aggregate_every_metric, profile)
+        assert all(result.exact for result in results)
 
 
 class TestKemenyCosting:
@@ -201,6 +237,24 @@ def _kemeny_timing():
     }
 
 
+def _exhaustive_comparison(repeats=3):
+    """Time exact aggregate() and check it against the scalar enumerator."""
+    profile = _exhaustive_profile()
+    seconds, results = _best_of(_aggregate_every_metric, profile, repeats=repeats)
+    expected = []
+    for plugin in registered_metrics():
+        answers = aggregate_exhaustive_scalar(profile, plugin.name)
+        expected.extend((*answers[objective][:2], True) for objective in OBJECTIVES)
+    answers = [(result.ranking, result.objective, result.exact) for result in results]
+    return {
+        "n_items": _EXHAUSTIVE_ITEMS,
+        "m_rankings": _EXHAUSTIVE_RANKINGS,
+        "cases": len(results),
+        "seconds": round(seconds, 5),
+        "bitwise_equal": answers == expected,
+    }
+
+
 def _smoke_measurements():
     """The fixed-size timings the CI gate compares run-over-run."""
     median = _median_comparison(1_000, 24, repeats=5)
@@ -213,8 +267,14 @@ def _smoke_measurements():
     # big enough that the timing is milliseconds, not scheduler noise
     kemeny_profile = random_profile_workload(400, 24, seed=2).rankings
     t_kemeny, _ = _best_of(pair_cost_array, kemeny_profile, repeats=7)
+    exhaustive = _exhaustive_comparison()
     return {
-        "sizes": {"median": "1000x24", "online": "500x24", "kemeny": "400x24"},
+        "sizes": {
+            "median": "1000x24",
+            "online": "500x24",
+            "kemeny": "400x24",
+            "aggregate_exhaustive": f"{_EXHAUSTIVE_ITEMS}x{_EXHAUSTIVE_RANKINGS}",
+        },
         "timings": {
             "median_scores_array_s": median["median_scores"]["array_s"],
             "median_scores_dict_s": median["median_scores"]["dict_s"],
@@ -223,7 +283,9 @@ def _smoke_measurements():
             "online_updates_s": round(t_online, 5),
             "online_recompute_s": round(t_recompute, 5),
             "kemeny_cost_matrix_s": round(t_kemeny, 5),
+            "aggregate_exhaustive_s": exhaustive["seconds"],
         },
+        "aggregate_exhaustive": exhaustive,
         "speedups": {
             "median_scores": median["median_scores"]["speedup"],
             "median_top_k": median["median_top_k"]["speedup"],
@@ -233,8 +295,14 @@ def _smoke_measurements():
 
 
 def check_against_baseline(baseline: dict, fresh: dict) -> list[str]:
-    """Gate failures: >2x kernel slowdown or halved kernel-vs-dict speedup."""
+    """Gate failures: >2x kernel slowdown, halved kernel-vs-dict speedup,
+    or exact aggregate() answers that differ from the scalar enumerator."""
     failures = []
+    if not fresh["aggregate_exhaustive"]["bitwise_equal"]:
+        failures.append(
+            "aggregate_exhaustive: exact aggregate() differs from the scalar "
+            "enumerator on at least one (metric, objective)"
+        )
     base_timings = baseline["smoke"]["timings"]
     base_speedups = baseline["smoke"]["speedups"]
     for name in _GATED_TIMINGS:
@@ -267,6 +335,7 @@ def _run_check(baseline: dict) -> int:
             f"{name + ' speedup':<28}{baseline['smoke']['speedups'][name]:>11.1f}x"
             f"{fresh['speedups'][name]:>11.1f}x"
         )
+    print(f"aggregate_exhaustive bitwise_equal: {fresh['aggregate_exhaustive']['bitwise_equal']}")
     return report_failures(check_against_baseline(baseline, fresh), "perf gate")
 
 

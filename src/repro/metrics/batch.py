@@ -18,6 +18,10 @@ per profile:
   that it runs the O(n log n) lexsort/merge kernel of
   :mod:`repro.metrics.fast` per pair instead.
 
+The registry's ``candidate_scorer`` hooks of the four built-ins live
+here too: they score many *full* rankings against a profile at once for
+exact :func:`~repro.aggregate.minmax.aggregate`.
+
 Every entry is **bit-for-bit equal** to the corresponding two-ranking
 metric (``kendall``, ``footrule``, ``kendall_hausdorff``,
 ``footrule_hausdorff``): counts are integers, positions are multiples of
@@ -54,7 +58,13 @@ from repro.metrics.hausdorff import footrule_hausdorff, kendall_hausdorff_counts
 from repro.metrics.kendall import PairCounts, kendall
 from repro.metrics.kendall import kendall_naive  # repro: noqa[RP004] — registry metadata: stored as the kendall plugin's oracle for repro.verify; no serving path calls it
 from repro.metrics.normalized import max_footrule, max_kendall
-from repro.metrics.registry import MetricPlugin, get_metric, register_metric
+from repro.metrics.registry import (
+    CandidateScore,
+    CandidateScorer,
+    MetricPlugin,
+    get_metric,
+    register_metric,
+)
 from repro.parallel import parallel_map, parallel_map_arena, resolve_jobs
 
 #: A batch-layer profile: either the object layer (a sequence of
@@ -471,6 +481,108 @@ def _symmetric_matrix(
 
 
 # ----------------------------------------------------------------------
+# Full candidates against a profile (the exact-aggregation hook)
+# ----------------------------------------------------------------------
+#
+# Each scorer below is a registry ``candidate_scorer``: prepared once per
+# profile, then called on (N, n) arrays of full rankings given as 1-based
+# slot positions. A full candidate has no ties, which collapses every
+# metric to a closed form; all values are sums of multiples of ½ (or of
+# the plugins' dyadic weights), so every entry is exact and equals the
+# scalar kernel bit for bit.
+
+
+def _l1_candidate_scorer(
+    transform: Callable[[npt.NDArray[np.float64]], npt.NDArray[np.float64]],
+) -> CandidateScorer:
+    """Scorer for ``sum_x |g(pi(x)) - g(sigma(x))|`` over a position map g.
+
+    ``transform`` maps an array of half-integer positions (last axis: the
+    n codec slots) to ``g`` of each entry. The identity gives ``F_prof``;
+    the plugins pass their weight tables.
+    """
+
+    def prepare(profile: Sequence[PartialRanking]) -> CandidateScore:
+        voters = transform(position_matrix(profile))
+
+        def score(ranks: npt.NDArray[np.integer[Any]]) -> npt.NDArray[np.float64]:
+            values = transform(ranks.astype(np.float64))
+            gaps = np.abs(values[:, None, :] - voters[None, :, :])
+            distances: npt.NDArray[np.float64] = gaps.sum(axis=2)
+            return distances
+
+        return score
+
+    return prepare
+
+
+def _identity(positions: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
+    return positions
+
+
+def _kendall_candidate_scorer(tie_cost: float) -> CandidateScorer:
+    """Scorer for the Kendall family against full candidates.
+
+    A full candidate ties no pair, so ``K^(p)`` is the discordant pairs
+    plus ``p`` per pair the voter ties, and ``K_Haus`` (Proposition 6:
+    |U| + max(|S|, |T|) with S empty) charges each voter-tied pair 1.
+    ``cost[i·n + j, v]`` is what voter ``v`` charges a candidate placing
+    slot ``i`` before slot ``j``; one GEMM of the candidates' precedence
+    indicators against it scores the whole chunk.
+    """
+
+    def prepare(profile: Sequence[PartialRanking]) -> CandidateScore:
+        buckets = bucket_index_matrix(profile)
+        m, n = buckets.shape
+        later = buckets[:, :, None] > buckets[:, None, :]
+        tied = buckets[:, :, None] == buckets[:, None, :]
+        cost = np.where(later, 1.0, np.where(tied, tie_cost, 0.0))
+        cost = cost.reshape(m, n * n).T.copy()
+
+        def score(ranks: npt.NDArray[np.integer[Any]]) -> npt.NDArray[np.float64]:
+            before = ranks[:, :, None] < ranks[:, None, :]
+            return before.reshape(len(ranks), n * n).astype(np.float64) @ cost
+
+        return score
+
+    return prepare
+
+
+def _fhaus_candidate_scorer(profile: Sequence[PartialRanking]) -> CandidateScore:
+    """Scorer for ``F_Haus`` against full candidates.
+
+    With a full ``pi``, Theorem 5's witnesses reduce to ``pi`` itself and
+    the voter's ties broken by ``pi`` or by its reverse:
+    ``F_Haus(pi, sigma) = max(F(pi, sigma*pi), F(pi, sigma*pi^R))``.
+    Sorting by (voter bucket, candidate position) lists the items in
+    ``sigma*pi`` order, so the k-th of them sits at position k there.
+    """
+    buckets = bucket_index_matrix(profile)
+    n = buckets.shape[1]
+    # keys + r, for r in 1..n the tie-break rank, sorts by (bucket, r)
+    keys = buckets * n - 1
+    refined_positions = np.arange(1, n + 1, dtype=np.int64)
+
+    def footrule_to_refinement(
+        ranks: npt.NDArray[np.int64], tie_break: npt.NDArray[np.int64]
+    ) -> npt.NDArray[np.int64]:
+        order = np.argsort(keys[None, :, :] + tie_break[:, None, :], axis=2)
+        placed = np.take_along_axis(
+            np.broadcast_to(ranks[:, None, :], order.shape), order, axis=2
+        )
+        footrules: npt.NDArray[np.int64] = np.abs(placed - refined_positions).sum(axis=2)
+        return footrules
+
+    def score(ranks: npt.NDArray[np.integer[Any]]) -> npt.NDArray[np.float64]:
+        ranks64 = ranks.astype(np.int64)
+        forward = footrule_to_refinement(ranks64, ranks64)
+        backward = footrule_to_refinement(ranks64, n + 1 - ranks64)
+        return np.maximum(forward, backward).astype(np.float64)
+
+    return score
+
+
+# ----------------------------------------------------------------------
 # The batch entry point
 # ----------------------------------------------------------------------
 
@@ -578,6 +690,7 @@ register_metric(
         citation="K^(p) with tie penalty p (paper §2.1); near metric for p < 1/2",
         scalar=kendall,
         batch=_builtin_batch("kendall"),
+        candidate_scorer=_kendall_candidate_scorer(0.5),
         oracle=kendall_naive,
         axiom_class="near-metric",
         p_range=(0.0, 1.0),
@@ -592,6 +705,7 @@ register_metric(
         citation="F_prof: L1 on position vectors (paper §2.2)",
         scalar=footrule,
         batch=_builtin_batch("footrule"),
+        candidate_scorer=_l1_candidate_scorer(_identity),
         oracle=footrule,
         axiom_class="metric",
         p_range=None,
@@ -606,6 +720,7 @@ register_metric(
         citation="K_Haus via the Proposition 6 closed form",
         scalar=_kendall_hausdorff_scalar,
         batch=_builtin_batch("kendall_hausdorff"),
+        candidate_scorer=_kendall_candidate_scorer(1.0),
         oracle=_kendall_hausdorff_scalar,
         axiom_class="metric",
         p_range=None,
@@ -620,6 +735,7 @@ register_metric(
         citation="F_Haus via the Theorem 5 witnesses",
         scalar=footrule_hausdorff,
         batch=_builtin_batch("footrule_hausdorff"),
+        candidate_scorer=_fhaus_candidate_scorer,
         oracle=footrule_hausdorff,
         axiom_class="metric",
         p_range=None,

@@ -43,6 +43,7 @@ from repro.errors import DomainMismatchError, InvalidRankingError
 from repro._util import pairs
 from repro.metrics.batch import (
     Profile,
+    _l1_candidate_scorer,
     _l1_chunk,
     _profile_position_rows,
     _symmetric_matrix,
@@ -175,6 +176,18 @@ def top_difference_naive(
     return total_units / ALPHA_SCALE
 
 
+def _ceiling_values(
+    positions: npt.NDArray[np.float64], table: npt.NDArray[np.float64]
+) -> npt.NDArray[np.float64]:
+    """``A[ceil(pos) - 1]`` of half-integer positions, via doubled integers."""
+    return table[((2.0 * positions).astype(np.int64) + 1) // 2 - 1]
+
+
+def _default_values(positions: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
+    """``A[ceil(pos) - 1]`` (default alphas); the last axis is the domain."""
+    return _ceiling_values(positions, alpha_prefix(positions.shape[-1]))
+
+
 def top_difference_matrix(
     profile: Profile,
     *,
@@ -195,8 +208,7 @@ def top_difference_matrix(
     positions = _profile_position_rows(profile)
     m, n = positions.shape
     table = alpha_prefix(n, alphas)
-    ceilings = ((2.0 * positions).astype(np.int64) + 1) // 2
-    value_rows = table[ceilings - 1]
+    value_rows = _ceiling_values(positions, table)
     if not obs.enabled():
         return _symmetric_matrix(_l1_chunk, value_rows, jobs)
     with obs.trace("metrics.plugins.top_difference_matrix", m=m, n=n):
@@ -231,5 +243,6 @@ TOP_DIFFERENCE_PLUGIN = register_metric(
         axiom_class="metric",
         p_range=None,
         max_value=max_top_difference,
+        candidate_scorer=_l1_candidate_scorer(_default_values),
     )
 )

@@ -37,6 +37,7 @@ from repro.errors import DomainMismatchError, InvalidRankingError
 from repro._util import pairs
 from repro.metrics.batch import (
     Profile,
+    _l1_candidate_scorer,
     _l1_chunk,
     _profile_position_rows,
     _symmetric_matrix,
@@ -114,6 +115,11 @@ def _value_rows(
 ) -> npt.NDArray[np.float64]:
     """Map half-integer positions through the tabulated transform."""
     return table[(2.0 * positions).astype(np.int64) - 2]
+
+
+def _default_values(positions: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
+    """``W`` (default weights) of positions whose last axis is the domain."""
+    return _value_rows(positions, weight_table(positions.shape[-1]))
 
 
 @checked_metric()
@@ -243,5 +249,6 @@ WEIGHTED_FOOTRULE_PLUGIN = register_metric(
         axiom_class="metric",
         p_range=None,
         max_value=max_weighted_footrule,
+        candidate_scorer=_l1_candidate_scorer(_default_values),
     )
 )

@@ -14,7 +14,10 @@ first-class value — a :class:`MetricPlugin` bundling
 * the **axiom class** (``"metric"`` or ``"near-metric"``) and, where the
   penalty parameter applies, the supported ``p``-range,
 * optionally the per-domain **maximum value** used by the normalized
-  ([0, 1]-scaled) variant.
+  ([0, 1]-scaled) variant,
+* optionally a **candidate scorer** that scores many full rankings
+  against a profile in one array pass (exact ``aggregate()`` uses it;
+  each entry must equal the scalar kernel bit for bit).
 
 The four built-in metrics register themselves when
 :mod:`repro.metrics.batch` is imported; the first-party plugins under
@@ -34,12 +37,14 @@ surfaces fail identically.
 from __future__ import annotations
 
 import threading
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 import numpy.typing as npt
 
+from repro.core.partial_ranking import PartialRanking
 from repro.errors import UnknownMetricError
 
 __all__ = [  # repro: noqa[RP011] — pure name-resolution layer; the resolved kernels are instrumented
@@ -62,6 +67,13 @@ ScalarKernel = Callable[..., float]
 
 #: An all-pairs kernel: ``(profile, ...) -> (m, m) float64 matrix``.
 BatchKernel = Callable[..., npt.NDArray[np.float64]]
+
+#: Scores full rankings against a fixed profile: ``ranks -> (N, m)``.
+CandidateScore = Callable[[npt.NDArray[np.integer[Any]]], npt.NDArray[np.float64]]
+
+#: Prepares a :data:`CandidateScore` for one profile (per-voter state is
+#: built once, then reused for every chunk of candidates).
+CandidateScorer = Callable[[Sequence[PartialRanking]], CandidateScore]
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,6 +104,14 @@ class MetricPlugin:
     #: Exact suprema for the built-ins; plugins may supply a proven
     #: upper bound. None when no closed form is provided.
     max_value: Callable[[int], float] | None = None
+    #: Optional array hook for exact aggregation: ``candidate_scorer(profile)``
+    #: returns ``score(ranks)``, where ``ranks`` is an ``(N, n)`` integer
+    #: array of full rankings (``ranks[c, s]`` is the 1-based position of
+    #: codec slot ``s`` in candidate ``c``) and the result is the
+    #: ``(N, m)`` float64 matrix whose ``[c, v]`` entry equals
+    #: ``scalar(candidate c, profile[v])`` bit for bit. Without it,
+    #: ``aggregate()`` fills the same matrix with scalar calls.
+    candidate_scorer: CandidateScorer | None = None
     #: True for the four paper metrics (their oracle/relation checks are
     #: hand-curated in repro.verify; plugins get auto-contributed ones).
     builtin: bool = field(default=False)

@@ -25,10 +25,12 @@ import pickle
 import tempfile
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from itertools import permutations
 from pathlib import Path
 
 import numpy as np
 
+from repro import obs
 from repro.aggregate.batch import (
     median_fixed_type_batch,
     median_full_ranking_batch,
@@ -40,6 +42,7 @@ from repro.aggregate.decompose import kemeny_decomposed
 from repro.aggregate.kemeny import kemeny_optimal
 from repro.aggregate.matching import optimal_footrule_aggregation
 from repro.aggregate.medrank import medrank, medrank_out_of_core
+from repro.aggregate.minmax import OBJECTIVES, aggregate
 from repro.aggregate.median import (
     median_fixed_type,
     median_full_ranking,
@@ -90,7 +93,9 @@ from repro.metrics.normalized import (
     normalized_kendall,
     normalized_kendall_hausdorff,
 )
+from repro.metrics.registry import CandidateScorer, registered_metrics
 from repro.verify.reference import (
+    aggregate_exhaustive_scalar,
     median_fixed_type_dict,
     median_full_ranking_dict,
     median_partial_ranking_dict,
@@ -634,6 +639,68 @@ def _online_update_variant(through_pickle: bool) -> _OracleFn:
     return call
 
 
+def _aggregate_metrics() -> tuple[str | Callable[[PartialRanking, PartialRanking], float], ...]:
+    """Every registered metric by name, plus one custom callable.
+
+    The callable (``footrule`` passed as a function) has no array hook,
+    so it covers the scalar-call fallback of the same selection path.
+    """
+    return (*(plugin.name for plugin in registered_metrics()), footrule)
+
+
+def _aggregate_exhaustive_reference(rankings: Rankings) -> object:
+    """Scalar enumeration for every metric × objective."""
+    outcomes = []
+    for metric in _aggregate_metrics():
+        answers = aggregate_exhaustive_scalar(rankings, metric)
+        outcomes.extend((*answers[objective], True) for objective in OBJECTIVES)
+    return tuple(outcomes)
+
+
+def _aggregate_exhaustive_public(rankings: Rankings) -> object:
+    """``aggregate()`` for every metric × objective, with its candidate count."""
+    outcomes = []
+    for metric in _aggregate_metrics():
+        for objective in OBJECTIVES:
+            # our own span collects the search span even under an outer trace
+            with obs.capture(), obs.trace("verify.aggregate") as span:
+                result = aggregate(rankings, objective, metric)
+            assert span is not None
+            (search,) = span.children
+            candidates = search.counters["aggregate.minmax.candidates"]
+            outcomes.append((result.ranking, result.objective, candidates, result.exact))
+    return tuple(outcomes)
+
+
+def _candidate_matrix_reference(
+    scalar: Callable[[PartialRanking, PartialRanking], float],
+) -> _OracleFn:
+    """Scalar distances of every full ranking (slot order) to each voter."""
+
+    def call(rankings: Rankings) -> object:
+        items = DomainCodec.for_profile(rankings).items
+        return np.array(
+            [
+                [scalar(PartialRanking([items[slot]] for slot in perm), sigma) for sigma in rankings]
+                for perm in permutations(range(len(items)))
+            ],
+            dtype=np.float64,
+        )
+
+    return call
+
+
+def _candidate_matrix_hook(scorer: CandidateScorer) -> _OracleFn:
+    """The registry hook on the same full rankings, given as slot positions."""
+
+    def call(rankings: Rankings) -> object:
+        orders = np.array(list(permutations(range(len(rankings[0])))), dtype=np.int8)
+        ranks = (np.argsort(orders, axis=1) + 1).astype(np.int8)
+        return scorer(rankings)(ranks)
+
+    return call
+
+
 # ----------------------------------------------------------------------
 # The registry
 # ----------------------------------------------------------------------
@@ -940,6 +1007,15 @@ def _build_entries() -> tuple[OracleEntry, ...]:
             variants=(("add-arena", _online_bulk(use_arena=True)),),
         ),
         OracleEntry(
+            name="aggregate-exhaustive",
+            kind="profile",
+            citation="exact median/minmax aggregate(): array candidate pass vs scalar enumeration",
+            covers=(),
+            reference=_aggregate_exhaustive_reference,
+            variants=(("public", _aggregate_exhaustive_public),),
+            max_items=5,
+        ),
+        OracleEntry(
             name="medrank-out-of-core",
             kind="profile",
             citation="MEDRANK over memory-mapped sorted lists vs the in-memory loop",
@@ -974,23 +1050,38 @@ def _plugin_batch_variant(
 
 
 def _plugin_entries() -> tuple[OracleEntry, ...]:
-    """One auto-contributed entry per registered non-builtin plugin.
+    """Auto-contributed entries for the registered metric plugins.
 
     Every :class:`~repro.metrics.registry.MetricPlugin` ships an O(n²)
-    reference oracle; registering a plugin therefore buys a
+    reference oracle; registering a non-builtin plugin therefore buys a
     differential check for free — the plain-Python all-pairs matrix
     from the oracle against the scalar kernel, the batch kernel, and
-    the batch kernel over a 2-process pool. Rebuilt on each call so
-    plugins registered after import (third-party, tests) are picked up
-    by ``--list-checks`` and the fuzz loop automatically.
+    the batch kernel over a 2-process pool. Every plugin with a
+    ``candidate_scorer`` (built-ins included) also gets a
+    ``candidates-<name>`` entry: the hook's matrix over all full
+    rankings of the (≤ 4-item) domain against the scalar kernel. Rebuilt
+    on each call so plugins registered after import (third-party,
+    tests) are picked up by ``--list-checks`` and the fuzz loop
+    automatically.
     """
     # Imported lazily: force first-party plugin registration without a
     # module-level verify -> plugins import edge.
     import repro.metrics.plugins  # noqa: F401
-    from repro.metrics.registry import registered_metrics
 
     entries = []
     for plugin in registered_metrics():
+        if plugin.candidate_scorer is not None:
+            entries.append(
+                OracleEntry(
+                    name=f"candidates-{plugin.name}",
+                    kind="profile",
+                    citation=f"{plugin.citation}: full-candidate hook vs scalar kernel",
+                    covers=(),
+                    reference=_candidate_matrix_reference(plugin.scalar),
+                    variants=(("hook", _candidate_matrix_hook(plugin.candidate_scorer)),),
+                    max_items=4,
+                )
+            )
         if plugin.builtin:
             continue
         entries.append(
@@ -1014,7 +1105,7 @@ def _plugin_entries() -> tuple[OracleEntry, ...]:
 def oracle_entries() -> tuple[OracleEntry, ...]:
     """Every registered oracle entry (including self-test mutants).
 
-    Static hand-curated entries first, then one per registered
-    non-builtin metric plugin.
+    Static hand-curated entries first, then the auto-contributed
+    per-plugin entries.
     """
     return _STATIC_ENTRIES + _plugin_entries()

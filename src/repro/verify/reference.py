@@ -12,12 +12,17 @@ bit:
   public ``median_*`` functions compute the same values from one
   ``(m, n)`` position matrix (:mod:`repro.aggregate.batch`);
 * the **Python Held–Karp DP** — the per-state generator-sum recurrence
-  that :func:`repro.aggregate.kemeny._held_karp` batches into one GEMM.
+  that :func:`repro.aggregate.kemeny._held_karp` batches into one GEMM;
+* the **scalar exhaustive aggregator** — every full ranking built as a
+  :class:`PartialRanking` and scored with m scalar metric calls, the
+  loop that exact :func:`repro.aggregate.minmax.aggregate` replaces with
+  one array pass over its candidate table.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from itertools import permutations
 
 import numpy as np
 import numpy.typing as npt
@@ -29,7 +34,7 @@ from repro.aggregate.median import (
     _median_of_checked,
     _validated_weights,
 )
-from repro.aggregate.objective import validate_profile
+from repro.aggregate.objective import resolve_metric, validate_profile
 from repro.core.partial_ranking import Item, PartialRanking
 from repro.errors import AggregationError
 
@@ -40,6 +45,7 @@ __all__ = [
     "median_partial_ranking_dict",
     "median_fixed_type_dict",
     "held_karp_python",
+    "aggregate_exhaustive_scalar",
 ]
 
 
@@ -157,3 +163,57 @@ def held_karp_python(
         mask ^= 1 << x
     order.reverse()
     return order, dp[full - 1]
+
+
+def _scores(
+    candidate: PartialRanking,
+    rankings: Sequence[PartialRanking],
+    metric_fn: Callable[[PartialRanking, PartialRanking], float],
+) -> tuple[float, float]:
+    """(max, total) distances of a candidate to the profile."""
+    total = 0.0
+    worst = 0.0
+    for sigma in rankings:
+        value = metric_fn(candidate, sigma)
+        total += value
+        if value > worst:
+            worst = value
+    return worst, total
+
+
+def aggregate_exhaustive_scalar(
+    rankings: Sequence[PartialRanking],
+    metric: str | Callable[[PartialRanking, PartialRanking], float] = "f_prof",
+) -> dict[str, tuple[PartialRanking, float, int]]:
+    """Exact median and minmax aggregation by scalar enumeration.
+
+    Maps ``"median"`` and ``"minmax"`` to ``(ranking, objective value,
+    candidates scored)``. Full rankings run in
+    :func:`itertools.permutations` order of the canonical item order
+    (type name, then ``repr``), each one a fresh :class:`PartialRanking`
+    scored by m scalar metric calls, and per objective only a *strict*
+    improvement of its ``(primary, secondary)`` key replaces the
+    incumbent. The differential twin of the exhaustive path of
+    :func:`repro.aggregate.minmax.aggregate`; ``oracle:aggregate-exhaustive``,
+    the tests and ``benchmarks/bench_aggregate.py`` assert the two agree
+    bit for bit.
+    """
+    validate_profile(rankings)
+    metric_fn = resolve_metric(metric)
+    items = sorted(rankings[0].domain, key=lambda item: (type(item).__name__, repr(item)))
+    best: dict[str, tuple[tuple[float, float], tuple[Item, ...], float]] = {}
+    candidates = 0
+    for perm in permutations(items):
+        worst, total = _scores(PartialRanking([item] for item in perm), rankings, metric_fn)
+        candidates += 1
+        for objective, key, value in (
+            ("median", (total, worst), total),
+            ("minmax", (worst, total), worst),
+        ):
+            incumbent = best.get(objective)
+            if incumbent is None or key < incumbent[0]:
+                best[objective] = (key, perm, value)
+    return {
+        objective: (PartialRanking([item] for item in perm), value, candidates)
+        for objective, (_, perm, value) in best.items()
+    }

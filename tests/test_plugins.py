@@ -17,6 +17,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from repro import obs
+from repro.aggregate import minmax
 from repro.aggregate.minmax import OBJECTIVES, AggregateResult, aggregate
 from repro.aggregate.objective import max_distance, resolve_metric, total_distance
 from repro.analysis.contracts import ENV_FLAG
@@ -59,6 +61,7 @@ from repro.metrics.registry import (
     registered_metrics,
     unregister_metric,
 )
+from repro.verify.reference import aggregate_exhaustive_scalar
 from tests.conftest import bucket_order_pairs, bucket_orders
 
 #: (scalar, oracle, batch) triples for the parametrized agreement tests.
@@ -437,8 +440,159 @@ class TestAggregateEntryPoint:
         assert result.metric == "footrule"
         assert result.exact
 
+    @pytest.mark.parametrize("cap", [True, False])
+    def test_max_exact_rejects_bool(self, cap):
+        with pytest.raises(AggregationError, match="max_exact"):
+            aggregate(self._profile(), "median", max_exact=cap)
+
+    def test_max_exact_rejects_float(self):
+        with pytest.raises(AggregationError, match="max_exact"):
+            aggregate(self._profile(), "median", max_exact=2.5)
+
+    def test_max_exact_rejects_string(self):
+        with pytest.raises(AggregationError, match="max_exact"):
+            aggregate(self._profile(), "median", max_exact="7")
+
+    @pytest.mark.parametrize("metric", [None, 42, ["f_prof"]])
+    def test_metric_must_be_name_or_callable(self, metric):
+        with pytest.raises(AggregationError, match="metric must be"):
+            aggregate(self._profile(), "median", metric)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_non_finite_distance_rejected(self, value, objective):
+        def broken_metric(sigma, tau):
+            return value
+
+        with pytest.raises(AggregationError, match="broken_metric.*non-finite"):
+            aggregate(self._profile(), objective, broken_metric)
+
+    def test_non_finite_distance_rejected_in_local_search(self):
+        def broken_metric(sigma, tau):
+            return float("nan")
+
+        profile = random_profile_workload(9, 3, seed=2).rankings
+        with pytest.raises(AggregationError, match="non-finite"):
+            aggregate(profile, "median", broken_metric)
+
     def test_resolve_metric_passthrough_and_registry(self):
         assert resolve_metric(footrule) is footrule
         assert resolve_metric("wf") is get_metric("weighted_footrule").scalar
         with pytest.raises(UnknownMetricError):
             resolve_metric("nope")
+
+
+def _search_outcome(rankings, objective, metric, **kwargs):
+    """``aggregate()``'s result fields plus its candidate counter."""
+    with obs.capture(), obs.trace("test") as span:
+        result = aggregate(rankings, objective, metric, **kwargs)
+    (search,) = span.children
+    return (
+        result.ranking,
+        result.objective,
+        search.counters["aggregate.minmax.candidates"],
+        result.exact,
+    )
+
+
+def _tie_heavy_profiles():
+    yield adversarial_profile_workload(6, seed=3).rankings
+    yield adversarial_profile_workload(5, seed=8, k=2).rankings
+    yield random_profile_workload(6, 5, seed=11, tie_bias=0.8).rankings
+    yield random_profile_workload(4, 3, seed=12, tie_bias=0.9).rankings
+    yield (PartialRanking([[1, 2, 3]]),)
+
+
+class TestExactAggregationArrayPath:
+    """The array candidate pass answers exactly like scalar enumeration."""
+
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    @pytest.mark.parametrize(
+        "metric",
+        [plugin.name for plugin in registered_metrics()] + [footrule],
+        ids=lambda metric: metric if isinstance(metric, str) else "callable",
+    )
+    def test_bit_identical_to_scalar_enumeration(self, objective, metric):
+        for profile in _tie_heavy_profiles():
+            ranking, value, candidates = aggregate_exhaustive_scalar(profile, metric)[
+                objective
+            ]
+            assert _search_outcome(profile, objective, metric) == (
+                ranking,
+                value,
+                candidates,
+                True,
+            )
+
+    @pytest.mark.parametrize("k", range(7))
+    def test_permutation_table_is_lexicographic(self, k):
+        table = minmax._permutation_table(k)
+        assert table.dtype == np.int8
+        assert [tuple(row) for row in table] == list(itertools.permutations(range(k)))
+
+    @pytest.mark.parametrize("m", [1, 15])
+    def test_chunks_concatenate_to_permutation_order(self, monkeypatch, m):
+        monkeypatch.setattr(minmax, "_CHUNK_ELEMENTS", 400)
+        chunks = list(minmax._candidate_chunks(6, m))
+        assert len(chunks) > 1
+        assert max(len(chunk) for chunk in chunks) * 6 * max(6, m) <= 400
+        rows = [tuple(row) for chunk in chunks for row in chunk]
+        assert rows == list(itertools.permutations(range(6)))
+
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    @pytest.mark.parametrize("metric", ["kendall", "f_haus", footrule])
+    def test_chunked_search_matches_one_chunk(self, monkeypatch, objective, metric):
+        profile = random_profile_workload(6, 4, seed=5, tie_bias=0.7).rankings
+        whole = _search_outcome(profile, objective, metric)
+        monkeypatch.setattr(minmax, "_CHUNK_ELEMENTS", 1000)
+        assert _search_outcome(profile, objective, metric) == whole
+
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_local_search_hook_matches_scalar_fallback(self, objective):
+        profile = random_profile_workload(9, 6, seed=21, tie_bias=0.5).rankings
+        hooked = _search_outcome(profile, objective, "f_prof")
+        assert not hooked[3]
+        assert _search_outcome(profile, objective, footrule) == hooked
+
+    @pytest.mark.parametrize("metric", ["f_prof", "k_prof", "f_haus"])
+    def test_local_search_past_int8_positions(self, metric):
+        profile = random_profile_workload(130, 2, seed=4, tie_bias=0.3).rankings
+        result = aggregate(profile, "median", metric)
+        assert not result.exact
+        assert result.ranking.is_full
+        assert result.objective == total_distance(result.ranking, profile, metric)
+
+    def test_plugin_without_hook_uses_scalar_calls(self):
+        plugin = register_metric(
+            MetricPlugin(
+                name="test_hookless_footrule",
+                aliases=(),
+                citation="F_prof without a candidate scorer",
+                scalar=footrule,
+                batch=get_metric("footrule").batch,
+                oracle=footrule,
+                axiom_class="metric",
+            )
+        )
+        try:
+            profile = adversarial_profile_workload(5, seed=4).rankings
+            for objective in OBJECTIVES:
+                got = aggregate(profile, objective, plugin.name)
+                want = aggregate(profile, objective, "footrule")
+                assert got.metric == plugin.name
+                assert (got.ranking, got.objective, got.exact) == (
+                    want.ranking,
+                    want.objective,
+                    want.exact,
+                )
+        finally:
+            unregister_metric(plugin.name)
+
+    def test_every_hook_has_a_candidate_oracle(self):
+        from repro.verify.registry import all_checks
+
+        ids = {info.check_id for info in all_checks()}
+        for plugin in registered_metrics():
+            assert plugin.candidate_scorer is not None
+            assert f"oracle:candidates-{plugin.name}" in ids
+        assert "oracle:aggregate-exhaustive" in ids
