@@ -3,7 +3,8 @@
 Each class isolates one implementation decision and measures both sides:
 
 * the Figure 1 incremental DP vs. the generic prefix-sum DP;
-* Fenwick-tree discordance counting vs. the quadratic reference;
+* O(n log n) discordance counting (at 300 items, the array classifier
+  ``pair_counts`` switches to at 192) vs. the quadratic reference;
 * the MEDRANK majority quota (0.5 as in the paper vs. stricter quotas);
 * Theorem 5 witness construction vs. the Proposition 6 closed form for
   ``K_Haus``.
@@ -67,34 +68,6 @@ class TestHausdorffAblation:
         sigma, tau = ranking_pair
         value = benchmark(kendall_hausdorff_counts, sigma, tau)
         assert value == kendall_hausdorff(sigma, tau)
-
-
-class TestLargeNPairCounting:
-    """Fenwick (pure Python, bucket-count-sized tree) vs numpy mergesort.
-
-    The honest outcome this records: the Fenwick path wins at every scale
-    tried (see repro/metrics/fast.py for why); the numpy path is kept as
-    an independent cross-check implementation.
-    """
-
-    @pytest.fixture(scope="class")
-    def large_pair(self):
-        rng = random.Random(3)
-        return (
-            random_bucket_order(20_000, rng, tie_bias=0.5),
-            random_bucket_order(20_000, rng, tie_bias=0.5),
-        )
-
-    def test_fenwick_at_20k(self, benchmark, large_pair):
-        sigma, tau = large_pair
-        assert benchmark(kendall, sigma, tau) >= 0
-
-    def test_numpy_at_20k(self, benchmark, large_pair):
-        from repro.metrics.fast import kendall_large
-
-        sigma, tau = large_pair
-        value = benchmark(kendall_large, sigma, tau)
-        assert value == kendall(*large_pair)
 
 
 class TestMedrankQuotaAblation:

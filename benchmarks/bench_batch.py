@@ -3,14 +3,15 @@
 Two modes:
 
 * ``pytest benchmarks/bench_batch.py --benchmark-only`` — pytest-benchmark
-  timings of the inversion counters and the all-pairs matrix versus the
-  per-pair loop. Setting ``REPRO_BENCH_SMOKE=1`` shrinks the sizes for the
-  CI smoke job.
+  timings of the inversion counter, the two pair classifiers and the
+  all-pairs matrix versus the per-pair loop. Setting
+  ``REPRO_BENCH_SMOKE=1`` shrinks the sizes for the CI smoke job.
 * ``PYTHONPATH=src python benchmarks/bench_batch.py`` — regenerate
-  ``BENCH_PR2.json`` at the repo root: the Fenwick-versus-vectorized
-  crossover sweep, the n = 100,000 pair-counting comparison, and the
-  80 items × 25 rankings matrix speedups recorded against the acceptance
-  criteria.
+  ``BENCH_PR2.json`` at the repo root: the Fenwick-versus-array
+  ``pair_counts`` crossover sweep (the source of
+  ``repro.metrics.kendall._ARRAY_MIN_ITEMS``), the n = 100,000
+  pair-counting comparison, and the 80 items × 25 rankings matrix
+  speedups recorded against the acceptance criteria.
 """
 
 from __future__ import annotations
@@ -19,18 +20,17 @@ import os
 
 import numpy as np
 
-from repro._util import count_inversions as fenwick_inversions
+from repro.core.partial_ranking import PartialRanking
 from repro.generators.workloads import mallows_profile_workload, random_profile_workload
 from repro.metrics import (
     footrule,
     footrule_hausdorff,
     kendall,
     kendall_hausdorff_counts,
-    pair_counts,
-    pair_counts_large,
     pairwise_distance_matrix,
 )
 from repro.metrics.fast import count_inversions_array
+from repro.metrics.kendall import _pair_counts_array, _pair_counts_fenwick
 
 _SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 
@@ -38,6 +38,9 @@ _SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 _INVERSION_N = 20_000 if _SMOKE else 100_000
 _MATRIX_ITEMS = 40 if _SMOKE else 80
 _MATRIX_RANKINGS = 8 if _SMOKE else 25
+
+#: The pair_counts crossover grid (items).
+_CROSSOVER_SIZES = (32, 48, 64, 96, 128, 160, 192, 256, 320, 384, 448, 512)
 
 _PER_PAIR = {
     "kendall": kendall,
@@ -70,24 +73,18 @@ class TestInversionCounters:
         expected = count_inversions_array(values)
         assert benchmark(count_inversions_array, values) == expected
 
-    def test_fenwick_counter(self, benchmark):
-        rng = np.random.default_rng(0)
-        values = rng.integers(0, _INVERSION_N, size=_INVERSION_N).tolist()
-        expected = count_inversions_array(values)
-        assert benchmark(fenwick_inversions, values) == expected
-
 
 class TestPairClassifiers:
-    def test_pair_counts_large(self, benchmark):
+    def test_pair_counts_array(self, benchmark):
         n = 5_000 if _SMOKE else 50_000
         profile = random_profile_workload(n, 2, seed=1).rankings
-        counts = benchmark(pair_counts_large, profile[0], profile[1])
+        counts = benchmark(_pair_counts_array, profile[0], profile[1])
         assert counts.total == n * (n - 1) // 2
 
     def test_pair_counts_fenwick(self, benchmark):
         n = 1_000 if _SMOKE else 5_000
         profile = random_profile_workload(n, 2, seed=1).rankings
-        counts = benchmark(pair_counts, profile[0], profile[1])
+        counts = benchmark(_pair_counts_fenwick, profile[0], profile[1])
         assert counts.total == n * (n - 1) // 2
 
 
@@ -130,42 +127,55 @@ def _best_of(fn, *args, repeats=3):
     return best, result
 
 
-def _crossover_sweep(rng):
-    """Fenwick vs vectorized inversion counting across a size grid."""
+def _first_call_seconds(fn, sigma, tau, loops: int) -> float:
+    """Best-of-7 mean seconds of ``fn`` on fresh copies of a pair, so the
+    array path pays its dense encoding as on rankings it has not seen."""
+    import time
+
+    best = float("inf")
+    for _ in range(7):
+        copies = [(PartialRanking(sigma.buckets), PartialRanking(tau.buckets)) for _ in range(loops)]
+        start = time.perf_counter()
+        for a, b in copies:
+            fn(a, b)
+        best = min(best, time.perf_counter() - start)
+    return best / loops
+
+
+def _pair_counts_crossover():
+    """Forced-Fenwick vs forced-array ``pair_counts``, tie bias 0 and 0.5;
+    ``crossover_n`` is the smallest swept size from which the array path
+    is faster at every size, tied or not."""
     rows = []
-    crossover = None
-    for n in (100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000):
-        values = rng.integers(0, n, size=n)
-        as_list = values.tolist()
-        t_vec, count_vec = _best_of(count_inversions_array, values)
-        t_fen, count_fen = _best_of(fenwick_inversions, as_list)
-        assert count_vec == count_fen
-        rows.append(
-            {
-                "n": n,
-                "vectorized_s": round(t_vec, 6),
-                "fenwick_s": round(t_fen, 6),
-                "speedup": round(t_fen / t_vec, 2),
-            }
-        )
-        if crossover is None and t_vec < t_fen:
-            crossover = n
-    return {"crossover_n": crossover, "rows": rows}
+    for n in _CROSSOVER_SIZES:
+        for ties in (False, True):
+            sigma, tau = random_profile_workload(n, 2, seed=n, tie_bias=0.5 * ties).rankings
+            t_fen, t_arr = (
+                _first_call_seconds(fn, sigma, tau, max(20, 16_000 // n))
+                for fn in (_pair_counts_fenwick, _pair_counts_array)
+            )
+            rows.append(
+                {"n": n, "ties": ties, "fenwick_s": round(t_fen, 7),
+                 "array_s": round(t_arr, 7), "speedup": round(t_fen / t_arr, 2)}
+            )
+    slower = max((row["n"] for row in rows if row["speedup"] <= 1.0), default=0)
+    crossover = min((n for n in _CROSSOVER_SIZES if n > slower), default=None)
+    return {"machine": _machine(), "crossover_n": crossover, "rows": rows}
 
 
 def _pair_counts_comparison():
-    """pair_counts vs pair_counts_large at n = 100,000."""
+    """Forced-Fenwick vs forced-array ``pair_counts`` at n = 100,000."""
     n = 100_000
     profile = random_profile_workload(n, 2, seed=1).rankings
     sigma, tau = profile
-    t_large, counts_large = _best_of(pair_counts_large, sigma, tau, repeats=3)
-    t_fenwick, counts_fenwick = _best_of(pair_counts, sigma, tau, repeats=1)
-    assert counts_large == counts_fenwick
+    t_array, counts_array = _best_of(_pair_counts_array, sigma, tau, repeats=3)
+    t_fenwick, counts_fenwick = _best_of(_pair_counts_fenwick, sigma, tau, repeats=1)
+    assert counts_array == counts_fenwick
     return {
         "n": n,
-        "pair_counts_large_s": round(t_large, 4),
+        "pair_counts_array_s": round(t_array, 4),
         "pair_counts_fenwick_s": round(t_fenwick, 4),
-        "speedup": round(t_fenwick / t_large, 2),
+        "speedup": round(t_fenwick / t_array, 2),
     }
 
 
@@ -185,21 +195,25 @@ def _matrix_comparison():
     return out
 
 
+def _machine() -> dict:
+    import platform
+
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": platform.platform(),
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def main() -> None:
     import json
-    import platform
     from pathlib import Path
 
-    rng = np.random.default_rng(0)
     payload = {
         "pr": 2,
-        "machine": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "platform": platform.platform(),
-            "cpu_count": os.cpu_count(),
-        },
-        "inversion_crossover": _crossover_sweep(rng),
+        "machine": _machine(),
+        "pair_counts_crossover": _pair_counts_crossover(),
         "pair_counts_n100k": _pair_counts_comparison(),
         "pairwise_matrix_80x25": _matrix_comparison(),
     }
@@ -207,7 +221,7 @@ def main() -> None:
     target.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     matrix = payload["pairwise_matrix_80x25"]["metrics"]
     print(f"wrote {target}")
-    print(f"inversion crossover_n: {payload['inversion_crossover']['crossover_n']}")
+    print(f"pair_counts crossover_n: {payload['pair_counts_crossover']['crossover_n']}")
     print(f"pair_counts n=100k speedup: {payload['pair_counts_n100k']['speedup']}x")
     for metric, numbers in matrix.items():
         print(f"matrix {metric}: {numbers['speedup']}x")

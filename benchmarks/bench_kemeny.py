@@ -26,10 +26,10 @@ from __future__ import annotations
 import os
 
 from repro.aggregate.decompose import kemeny_decomposed
-from repro.aggregate.kemeny import _held_karp, kemeny_optimal, pair_cost_array
+from repro.aggregate.kemeny import _held_karp, pair_cost_array
 from repro.errors import AggregationError
 from repro.generators.workloads import banded_profile_workload, random_profile_workload
-from repro.verify.reference import held_karp_python
+from repro.verify.reference import held_karp_python, kemeny_monolithic
 
 _SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 
@@ -78,7 +78,7 @@ class TestDecomposedSolve:
     def test_monolithic_refuses_same_instance(self):
         profile = _banded_profile()
         try:
-            kemeny_optimal(profile, decompose=False)
+            kemeny_monolithic(profile)
         except AggregationError:
             pass
         else:  # pragma: no cover - the guard regressed

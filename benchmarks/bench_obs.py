@@ -13,7 +13,8 @@ Three modes:
   ``REPRO_BENCH_SMOKE=1`` shrinks the sizes for CI.
 * ``PYTHONPATH=src python benchmarks/bench_obs.py`` — regenerate
   ``BENCH_OBS.json`` at the repo root with the measured disabled-mode
-  overhead of ``pair_counts_large`` (n = 20,000) and
+  overhead of ``pair_counts`` (n = 20,000, the array-classifier side of
+  its threshold) and
   ``median_scores_array`` (1,000 x 24) and the enabled-mode span cost.
 * ``PYTHONPATH=src python benchmarks/bench_obs.py --check BENCH_OBS.json``
   — the acceptance gate: re-measure and exit non-zero if the disabled
@@ -29,7 +30,7 @@ from repro.aggregate.batch import _median_scores_array_impl, median_scores_array
 from repro.core.codec import DomainCodec
 from repro.generators.workloads import random_profile_workload
 from repro.metrics.batch import position_matrix
-from repro.metrics.fast import _pair_counts_large_impl, pair_counts_large
+from repro.metrics.kendall import _pair_counts_impl, pair_counts
 
 #: The acceptance budget: disabled-mode wrapper overhead per kernel call.
 OVERHEAD_BUDGET = 0.02
@@ -58,15 +59,15 @@ def _positions():
 class TestDisabledOverhead:
     """Wrapper vs impl with tracing off: the difference is the overhead."""
 
-    def test_pair_counts_large_wrapper(self, benchmark):
+    def test_pair_counts_wrapper(self, benchmark):
         a, b = _ranking_pair()
         assert not obs.enabled()
-        counts = benchmark(pair_counts_large, a, b)
+        counts = benchmark(pair_counts, a, b)
         assert counts.total == _PAIRS_ITEMS * (_PAIRS_ITEMS - 1) // 2
 
-    def test_pair_counts_large_impl(self, benchmark):
+    def test_pair_counts_impl(self, benchmark):
         a, b = _ranking_pair()
-        counts = benchmark(_pair_counts_large_impl, a, b)
+        counts = benchmark(_pair_counts_impl, a, b)
         assert counts.total == _PAIRS_ITEMS * (_PAIRS_ITEMS - 1) // 2
 
     def test_median_scores_array_wrapper(self, benchmark):
@@ -84,12 +85,12 @@ class TestDisabledOverhead:
 class TestEnabledCost:
     """Span + counter cost with a live capture session (informational)."""
 
-    def test_pair_counts_large_traced(self, benchmark):
+    def test_pair_counts_traced(self, benchmark):
         a, b = _ranking_pair()
 
         def run():
             with obs.capture():
-                return pair_counts_large(a, b)
+                return pair_counts(a, b)
 
         counts = benchmark(run)
         assert counts.total == _PAIRS_ITEMS * (_PAIRS_ITEMS - 1) // 2
@@ -153,7 +154,7 @@ def _enabled_cost(loops: int, repeats: int) -> dict:
     a, b = random_profile_workload(32, 2, seed=3).rankings
 
     def traced():
-        pair_counts_large(a, b)
+        pair_counts(a, b)
 
     baseline = float("inf")
     enabled = float("inf")
@@ -180,9 +181,9 @@ def _kernel_measurers() -> dict:
     positions = _positions()
     pair_loops = 12 if _SMOKE else 2
     return {
-        "pair_counts_large": lambda: _overhead(
-            pair_counts_large,
-            _pair_counts_large_impl,
+        "pair_counts": lambda: _overhead(
+            pair_counts,
+            _pair_counts_impl,
             a,
             b,
             loops=pair_loops,
@@ -204,7 +205,7 @@ def _measurements() -> dict:
     measurers = _kernel_measurers()
     return {
         "sizes": {
-            "pair_counts_large": f"n={_PAIRS_ITEMS}",
+            "pair_counts": f"n={_PAIRS_ITEMS}",
             "median_scores_array": f"{_MEDIAN_ITEMS}x{_MEDIAN_RANKINGS}",
         },
         "disabled_overhead": {name: measure() for name, measure in measurers.items()},

@@ -31,7 +31,7 @@ Quickstart
 from repro.aggregate import (
     MedianAggregator,
     OnlineMedianAggregator,
-    kemeny_optimal,
+    kemeny_decomposed,
     median_full_ranking,
     median_partial_ranking,
     median_scores,
@@ -91,7 +91,7 @@ __all__ = [
     # aggregation
     "MedianAggregator",
     "OnlineMedianAggregator",
-    "kemeny_optimal",
+    "kemeny_decomposed",
     "median_scores",
     "median_top_k",
     "median_full_ranking",

@@ -4,9 +4,7 @@ This module contains the small, well-tested machinery that the metric and
 aggregation code builds on:
 
 * :class:`FenwickTree` — a binary indexed tree over prefix counts, used for
-  O(n log n) inversion / discordant-pair counting.
-* :func:`count_inversions` — number of strictly decreasing pairs in a
-  sequence of comparable values.
+  O(n log n) discordant-pair counting.
 * :func:`sorted_slice_l1` — L1 cost of moving a sorted slice of values onto a
   single point, in O(log n) per query via prefix sums (used by the optimal
   bucketing dynamic program).
@@ -25,7 +23,6 @@ T = TypeVar("T")
 
 __all__ = [
     "FenwickTree",
-    "count_inversions",
     "SortedSliceL1",
     "sorted_slice_l1",
     "ordered_partitions",
@@ -77,28 +74,6 @@ class FenwickTree:
     def total(self) -> int:
         """Return the sum of all counts in the tree."""
         return self.prefix_sum(self._size - 1) if self._size else 0
-
-
-def count_inversions(values: Sequence[float]) -> int:
-    """Count pairs ``i < j`` with ``values[i] > values[j]`` (strictly).
-
-    Equal values do not contribute. Runs in O(n log n) using a Fenwick tree
-    over the ranks of the distinct values.
-    """
-    if len(values) < 2:
-        return 0
-    distinct = sorted(set(values))
-    rank = {v: r for r, v in enumerate(distinct)}
-    tree = FenwickTree(len(distinct))
-    inversions = 0
-    seen = 0
-    for v in values:
-        r = rank[v]
-        # previously seen values strictly greater than v
-        inversions += seen - tree.prefix_sum(r)
-        tree.add(r)
-        seen += 1
-    return inversions
 
 
 class SortedSliceL1:

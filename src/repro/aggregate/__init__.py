@@ -18,10 +18,12 @@ metrics:
 * :func:`optimal_footrule_aggregation` — the exact (matching-based)
   comparator the paper contrasts the median algorithm with.
 * :mod:`repro.aggregate.exact` — brute-force optima for small domains.
-* :func:`kemeny_decomposed` / :func:`kemeny_optimal` — SCC-condensed
-  exact ``K^(p)`` aggregation (per-component Held–Karp over the
-  :func:`pair_cost_array` dominance digraph, pluggable
-  :class:`ScoringScheme` penalties).
+* :func:`kemeny_decomposed` — SCC-condensed exact ``K^(p)`` aggregation
+  (per-component Held–Karp over the :func:`pair_cost_array` dominance
+  digraph, pluggable :class:`ScoringScheme` penalties;
+  ``require_exact=True`` certifies the optimum). The Condorcet
+  diagnostics (:func:`is_condorcet_consistent`, :func:`condorcet_winner`,
+  :func:`topological_aggregation`) read the same digraph.
 * :func:`aggregate` — the registry-aware entry point: median *or*
   minmax (egalitarian, arXiv 1701.08305) objective under any metric
   registered in the plugin registry, with the :class:`AggregateResult`
@@ -38,11 +40,7 @@ from repro.aggregate.batch import (
 )
 from repro.aggregate.decompose import DecomposedResult, kemeny_decomposed
 from repro.aggregate.dp import bucketing_cost, optimal_bucketing, optimal_partial_ranking
-from repro.aggregate.kemeny import (
-    kemeny_lower_bound,
-    kemeny_optimal,
-    pair_cost_array,
-)
+from repro.aggregate.kemeny import kemeny_lower_bound, pair_cost_array
 from repro.aggregate.matching import optimal_footrule_aggregation
 from repro.aggregate.scoring import ScoringScheme
 from repro.aggregate.median import (
@@ -66,7 +64,6 @@ from repro.aggregate.online import OnlineMedianAggregator
 from repro.aggregate.tournament import (
     condorcet_winner,
     is_condorcet_consistent,
-    majority_digraph,
     topological_aggregation,
 )
 
@@ -93,13 +90,11 @@ __all__ = [
     "AccessLog",
     "SlotMedrankResult",
     "optimal_footrule_aggregation",
-    "kemeny_optimal",
     "kemeny_lower_bound",
     "kemeny_decomposed",
     "DecomposedResult",
     "ScoringScheme",
     "pair_cost_array",
-    "majority_digraph",
     "condorcet_winner",
     "is_condorcet_consistent",
     "topological_aggregation",

@@ -35,16 +35,20 @@ import numpy.typing as npt
 
 from repro import obs
 from repro.aggregate.kemeny import (
-    _MAX_EXACT,
     _held_karp,
     _lower_bound_from_cost,
     pair_cost_array,
 )
+from repro.aggregate.objective import validate_max_exact
 from repro.aggregate.scoring import ScoringScheme
 from repro.core.partial_ranking import Item, PartialRanking
 from repro.errors import AggregationError
 
 __all__ = ["DecomposedResult", "kemeny_decomposed", "dominance_components"]
+
+#: Default per-component Held–Karp cap (at most ``2^16`` DP states per
+#: component).
+_MAX_EXACT = 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -227,10 +231,11 @@ def kemeny_decomposed(
 
     The concatenation of per-component solutions in condensation order is
     globally optimal whenever every component is solved exactly — see the
-    soundness statement in docs/THEORY.md.
+    soundness statement in docs/THEORY.md. ``max_exact`` must be an
+    ``int`` ≥ 1 (not a bool), as for :func:`~repro.aggregate.minmax.aggregate`;
+    anything else raises :class:`AggregationError`.
     """
-    if max_exact < 1:
-        raise AggregationError(f"max_exact={max_exact} must be at least 1")
+    validate_max_exact(max_exact)
     items, cost = pair_cost_array(rankings, p, scheme=scheme, jobs=jobs)
     n = len(items)
     with obs.trace("aggregate.kemeny.decompose", n=n):

@@ -1,10 +1,11 @@
-"""Exact Kemeny-style aggregation via Held–Karp bitmask dynamic programming.
+"""The pair-cost kernel and DP behind exact Kemeny-style aggregation.
 
 The Kendall aggregation problem — find the full ranking minimizing
 ``sum_i K^(p)(out, sigma_i)`` — is NP-hard in general, and the paper's
 footnote 4 motivates median aggregation as the *computationally simple*
 alternative. For measuring true approximation ratios beyond the factorial
-brute force (n ≤ 9), this module provides the classical exact algorithm:
+brute force (n ≤ 9), the library solves it exactly with the classical
+algorithm:
 
 the objective is **pairwise decomposable** — placing ``x`` before ``y``
 costs ``sum_i [1 if sigma_i ranks y strictly ahead, p if it ties them]``
@@ -16,17 +17,13 @@ subset ``S`` (as a prefix) satisfies the Held–Karp recurrence
 giving an exact O(2^n · n) algorithm after the per-state appendix costs
 are batched into one ``(2^n, n)`` GEMM (see :func:`_held_karp`).
 
-By default :func:`kemeny_optimal` first condenses the pairwise-dominance
-digraph into strongly-connected components
-(:mod:`repro.aggregate.decompose`), so the exponential cap applies *per
-component*: sparse-conflict instances with hundreds of items solve
-exactly in milliseconds. ``decompose=False`` restores the monolithic
-single-DP path with its hard n ≤ 16 guard.
-
-The same pair-cost matrix also yields the standard lower bound
-``sum_{pairs} min(cost(x<y), cost(y<x))``, used to sanity-check optimality
-and to bound ratios on instances too large to solve exactly. Penalties
-beyond the scalar ``p`` plug in through
+The solver is :func:`repro.aggregate.decompose.kemeny_decomposed`, which
+runs the DP per strongly-connected component of the pairwise-dominance
+digraph; :mod:`repro.aggregate.tournament` reads its Condorcet structure
+off the same matrix. The matrix also yields the standard lower bound
+``sum_{pairs} min(cost(x<y), cost(y<x))``, used to sanity-check
+optimality and to bound ratios on instances too large to solve exactly.
+Penalties beyond the scalar ``p`` plug in through
 :class:`~repro.aggregate.scoring.ScoringScheme`.
 """
 
@@ -42,17 +39,13 @@ from repro.aggregate.objective import validate_profile
 from repro.aggregate.scoring import ScoringScheme, resolve_scheme
 from repro.core.codec import DomainCodec
 from repro.core.partial_ranking import Item, PartialRanking
-from repro.errors import AggregationError
 from repro.metrics.batch import bucket_index_matrix, sign_tensor
 from repro.parallel import parallel_map, resolve_jobs
 
 __all__ = [
     "pair_cost_array",
     "kemeny_lower_bound",
-    "kemeny_optimal",
 ]
-
-_MAX_EXACT = 16
 
 #: Cap on sign-tensor elements materialized per worker chunk (the same
 #: per-tile budget the pair classifier in :mod:`repro.metrics.batch` uses).
@@ -166,47 +159,6 @@ def kemeny_lower_bound(
     """
     _, cost = pair_cost_array(rankings, p, scheme=scheme, jobs=jobs)
     return _lower_bound_from_cost(cost)
-
-
-def kemeny_optimal(
-    rankings: Sequence[PartialRanking],
-    p: float = 0.5,
-    *,
-    scheme: ScoringScheme | None = None,
-    jobs: int | None = None,
-    decompose: bool = True,
-) -> tuple[PartialRanking, float]:
-    """Exact optimal full-ranking ``K^(p)`` aggregation.
-
-    Returns the optimal ranking and its objective value. By default the
-    instance is first condensed into strongly-connected components of the
-    pairwise-dominance digraph and each component is solved by its own
-    Held–Karp DP (:func:`repro.aggregate.decompose.kemeny_decomposed`
-    with ``require_exact=True``), so only instances with a *component*
-    larger than 16 items are refused. ``decompose=False`` runs one
-    monolithic DP with the historical hard n ≤ 16 cap. Use
-    :mod:`repro.aggregate.median` for the constant-factor polynomial
-    alternative the paper advocates on refused instances.
-    """
-    if decompose:
-        # local import: decompose builds on this module's cost kernel
-        from repro.aggregate.decompose import kemeny_decomposed
-
-        result = kemeny_decomposed(
-            rankings, p, scheme=scheme, jobs=jobs, require_exact=True
-        )
-        return result.ranking, result.objective
-    items, cost = pair_cost_array(rankings, p, scheme=scheme, jobs=jobs)
-    n = len(items)
-    if n > _MAX_EXACT:
-        raise AggregationError(
-            f"exact Kemeny refused for n={n} > {_MAX_EXACT}; "
-            "use median aggregation for large domains"
-        )
-    with obs.trace("aggregate.kemeny.held_karp", n=n):
-        obs.add("kemeny.dp_states", 1 << n)
-        order, objective = _held_karp(cost, n)
-        return PartialRanking.from_sequence([items[x] for x in order]), objective
 
 
 def _held_karp(

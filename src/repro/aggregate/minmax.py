@@ -46,7 +46,7 @@ import numpy as np
 import numpy.typing as npt
 
 from repro import obs
-from repro.aggregate.objective import validate_profile
+from repro.aggregate.objective import validate_max_exact, validate_profile
 from repro.core.codec import DomainCodec
 from repro.core.partial_ranking import Item, PartialRanking
 from repro.errors import AggregationError
@@ -128,15 +128,6 @@ def _resolve_scorer(
     )
 
 
-def _check_max_exact(max_exact: object) -> None:
-    if isinstance(max_exact, bool) or not isinstance(max_exact, int):
-        raise AggregationError(
-            f"max_exact={max_exact!r} must be an int, not {type(max_exact).__name__}"
-        )
-    if max_exact < 1:
-        raise AggregationError(f"max_exact={max_exact} must be at least 1")
-
-
 def aggregate(
     rankings: Sequence[PartialRanking],
     objective: str = "median",
@@ -165,7 +156,7 @@ def aggregate(
         raise AggregationError(
             f"unknown objective {objective!r}; expected one of {list(OBJECTIVES)}"
         )
-    _check_max_exact(max_exact)
+    validate_max_exact(max_exact)
     validate_profile(rankings)
     items = DomainCodec.for_profile(rankings).items
     metric_name, score = _resolve_scorer(metric, rankings, items)

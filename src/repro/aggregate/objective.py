@@ -27,6 +27,7 @@ __all__ = [  # repro: noqa[RP011] — objective evaluation sums over instrumente
     "max_distance",
     "total_l1_to_function",
     "validate_profile",
+    "validate_max_exact",
     "resolve_metric",
 ]
 
@@ -71,6 +72,16 @@ def validate_profile(rankings: Sequence[PartialRanking]) -> frozenset[Item]:
                 f"input ranking {index} has a different domain than input 0"
             )
     return domain
+
+
+def validate_max_exact(max_exact: object) -> None:
+    """Raise :class:`AggregationError` unless ``max_exact`` is an ``int`` ≥ 1."""
+    if isinstance(max_exact, bool) or not isinstance(max_exact, int):
+        raise AggregationError(
+            f"max_exact={max_exact!r} must be an int, not {type(max_exact).__name__}"
+        )
+    if max_exact < 1:
+        raise AggregationError(f"max_exact={max_exact} must be at least 1")
 
 
 def total_distance(

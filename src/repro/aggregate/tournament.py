@@ -14,52 +14,29 @@ the opposite. Classical facts, all executable here:
   are rare on random bucket-order profiles, which this module lets callers
   check per instance before paying for the exponential solver.
 
-Graphs are `networkx.DiGraph` objects so downstream users get the whole
-graph-algorithm toolbox for free.
+The tournament is the dominance digraph ``cost < cost.T`` of
+:mod:`repro.aggregate.decompose`: it is acyclic exactly when every
+strongly-connected component is a single item.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-import networkx as nx
+import numpy as np
 
+from repro.aggregate.decompose import dominance_components, kemeny_decomposed
 from repro.aggregate.kemeny import pair_cost_array
+from repro.aggregate.objective import validate_profile
+from repro.aggregate.scoring import resolve_scheme
 from repro.core.partial_ranking import Item, PartialRanking
 from repro.errors import AggregationError
 
 __all__ = [  # repro: noqa[RP011] — Condorcet structure diagnostics, not a hot path
-    "majority_digraph",
     "is_condorcet_consistent",
     "condorcet_winner",
     "topological_aggregation",
 ]
-
-
-def majority_digraph(
-    rankings: Sequence[PartialRanking],
-    p: float = 0.5,
-) -> "nx.DiGraph":
-    """Build the strict-preference digraph of an aggregation instance.
-
-    Nodes are the domain items; there is an edge ``x -> y`` iff placing
-    ``x`` before ``y`` is strictly cheaper under the ``K^(p)`` pair costs
-    (ties in cost produce no edge in either direction). Edges carry
-    ``margin`` (the cost difference) and ``cost`` (the cheaper direction's
-    cost) attributes.
-    """
-    items, cost = pair_cost_array(rankings, p)
-    graph = nx.DiGraph()
-    graph.add_nodes_from(items)
-    n = len(items)
-    for i in range(n):
-        for j in range(i + 1, n):
-            forward, backward = float(cost[i, j]), float(cost[j, i])
-            if forward < backward:
-                graph.add_edge(items[i], items[j], margin=backward - forward, cost=forward)
-            elif backward < forward:
-                graph.add_edge(items[j], items[i], margin=forward - backward, cost=backward)
-    return graph
 
 
 def is_condorcet_consistent(
@@ -71,7 +48,8 @@ def is_condorcet_consistent(
     Acyclic instances are *easy*: the pairwise lower bound is attainable
     and :func:`topological_aggregation` is exactly optimal.
     """
-    return nx.is_directed_acyclic_graph(majority_digraph(rankings, p))
+    _, cost = pair_cost_array(rankings, p)
+    return all(len(component) == 1 for component in dominance_components(cost))
 
 
 def condorcet_winner(
@@ -79,12 +57,11 @@ def condorcet_winner(
     p: float = 0.5,
 ) -> Item | None:
     """The item strictly beating every other item, if one exists."""
-    graph = majority_digraph(rankings, p)
-    n = graph.number_of_nodes()
-    for node in graph.nodes:
-        if graph.out_degree(node) == n - 1:
-            return node
-    return None
+    items, cost = pair_cost_array(rankings, p)
+    beats = cost < cost.T
+    np.fill_diagonal(beats, True)
+    winners = np.flatnonzero(beats.all(axis=1))
+    return items[int(winners[0])] if winners.size else None
 
 
 def topological_aggregation(
@@ -93,30 +70,21 @@ def topological_aggregation(
 ) -> tuple[PartialRanking, float]:
     """Exactly optimal full-ranking aggregation for acyclic instances.
 
-    Orders the items topologically along the majority digraph (groups with
-    no strict preference are ordered canonically), achieving the pairwise
-    lower bound — the fast path to exact Kemeny optimality when no
-    Condorcet cycle exists. Raises :class:`AggregationError` on cyclic
-    instances; fall back to :func:`repro.aggregate.kemeny.kemeny_optimal`
-    (or median aggregation) there.
+    Orders the items topologically along the majority digraph (items with
+    no strict preference between them are ordered canonically), achieving
+    the pairwise lower bound: :func:`~repro.aggregate.decompose.kemeny_decomposed`
+    with a DP cap of one item, so a cycle is refused before any DP runs.
+    Raises :class:`AggregationError` on cyclic instances; use
+    ``kemeny_decomposed`` (or median aggregation) there.
     """
-    graph = majority_digraph(rankings, p)
-    if not nx.is_directed_acyclic_graph(graph):
+    # validate up front so the only refusal left below is the cycle
+    resolve_scheme(p, None)
+    validate_profile(rankings)
+    try:
+        result = kemeny_decomposed(rankings, p, max_exact=1, require_exact=True)
+    except AggregationError as cycle:
         raise AggregationError(
             "majority digraph has a Condorcet cycle; no topological aggregation "
-            "exists (use kemeny_optimal or median aggregation)"
-        )
-    order = list(
-        nx.lexicographical_topological_sort(
-            graph, key=lambda item: (type(item).__name__, repr(item))
-        )
-    )
-    ranking = PartialRanking.from_sequence(order)
-
-    items, cost = pair_cost_array(rankings, p)
-    index = {item: i for i, item in enumerate(items)}
-    total = 0.0
-    for position, x in enumerate(order):
-        for y in order[position + 1 :]:
-            total += cost[index[x], index[y]]
-    return ranking, float(total)
+            "exists (use kemeny_decomposed or median aggregation)"
+        ) from cycle
+    return result.ranking, result.objective

@@ -58,10 +58,7 @@ PER_PAIR_METRIC_NAMES = frozenset(
         "kendall_hausdorff",
         "kendall_hausdorff_counts",
         "footrule_hausdorff",
-        "kendall_large",
-        "kendall_hausdorff_large",
         "pair_counts",
-        "pair_counts_large",
     }
 )
 

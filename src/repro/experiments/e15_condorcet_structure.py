@@ -11,7 +11,7 @@ only ever needed on the cyclic residue).
 
 from __future__ import annotations
 
-from repro.aggregate.kemeny import kemeny_optimal
+from repro.aggregate.decompose import kemeny_decomposed
 from repro.aggregate.tournament import (
     condorcet_winner,
     is_condorcet_consistent,
@@ -53,7 +53,7 @@ def run(
             if is_condorcet_consistent(rankings):
                 acyclic += 1
                 _, topo_cost = topological_aggregation(rankings)
-                _, exact_cost = kemeny_optimal(rankings)
+                exact_cost = kemeny_decomposed(rankings, require_exact=True).objective
                 if abs(topo_cost - exact_cost) <= _ABS_TOL:
                     exact_matches += 1
         rows.append(
@@ -80,7 +80,7 @@ def run(
         }
         if consistent:
             _, topo_cost = topological_aggregation(rankings)
-            _, exact_cost = kemeny_optimal(rankings)
+            exact_cost = kemeny_decomposed(rankings, require_exact=True).objective
             row["topo_equals_exact"] = (
                 "1/1" if abs(topo_cost - exact_cost) <= _ABS_TOL else "0/1"
             )

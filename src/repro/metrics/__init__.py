@@ -17,9 +17,10 @@ Public names:
 * :mod:`repro.metrics.normalized` — [0, 1]-scaled variants.
 * :mod:`repro.metrics.topk_fks` — the varying-active-domain top-k scenario
   of Fagin–Kumar–Sivakumar (Appendix A.3).
-* :mod:`repro.metrics.fast` / :mod:`repro.metrics.batch` — the array fast
-  path (``kendall_large`` etc.) and the all-pairs batch layer
-  (:func:`pairwise_distance_matrix`); see ``docs/PERFORMANCE.md``.
+* :mod:`repro.metrics.fast` / :mod:`repro.metrics.batch` — the array pair
+  classifier :func:`pair_counts` switches to on large domains, and the
+  all-pairs batch layer (:func:`pairwise_distance_matrix`); see
+  ``docs/PERFORMANCE.md``.
 * :mod:`repro.metrics.registry` — the metric plugin registry: every
   name-based dispatch surface resolves through it, and third-party
   distances plug in by registering a :class:`MetricPlugin`; see
@@ -33,12 +34,7 @@ from repro.metrics.batch import (
     pair_counts_matrix,
     pairwise_distance_matrix,
 )
-from repro.metrics.fast import (
-    count_inversions_array,
-    kendall_hausdorff_large,
-    kendall_large,
-    pair_counts_large,
-)
+from repro.metrics.fast import count_inversions_array
 from repro.metrics.footrule import footrule, footrule_full
 from repro.metrics.hausdorff import (
     footrule_hausdorff,
@@ -86,9 +82,6 @@ __all__ = [
     "kendall",
     "kendall_full",
     "pair_counts",
-    "kendall_large",
-    "kendall_hausdorff_large",
-    "pair_counts_large",
     "count_inversions_array",
     "PairCountsMatrix",
     "pair_counts_matrix",

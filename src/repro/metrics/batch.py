@@ -52,7 +52,7 @@ from repro.core.arena import ProfileArena
 from repro.core.codec import DomainCodec
 from repro.core.partial_ranking import PartialRanking
 from repro.errors import InvalidRankingError
-from repro.metrics.fast import count_inversions_array
+from repro.metrics.fast import _classify_rows
 from repro.metrics.footrule import footrule
 from repro.metrics.hausdorff import footrule_hausdorff, kendall_hausdorff_counts
 from repro.metrics.kendall import PairCounts, kendall
@@ -218,25 +218,6 @@ def _tied_per_ranking(
         sizes = np.bincount(bucket_rows[r])
         tied[r] = int((sizes * (sizes - 1) // 2).sum())
     return tied
-
-
-def _classify_rows(
-    x: npt.NDArray[np.signedinteger[Any]], y: npt.NDArray[np.signedinteger[Any]]
-) -> tuple[int, int]:
-    """(discordant, tied_both) between two bucket-index rows.
-
-    Same lexsort/run-length/merge derivation as
-    :func:`repro.metrics.fast.pair_counts_large`.
-    """
-    order = np.lexsort((y, x))
-    xs, ys = x[order], y[order]
-    n = len(xs)
-    change = np.empty(n, dtype=bool)
-    change[0] = True
-    change[1:] = (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1])
-    run_lengths = np.diff(np.append(np.flatnonzero(change), n))
-    tied_both = int((run_lengths * (run_lengths - 1) // 2).sum())
-    return count_inversions_array(ys), tied_both
 
 
 #: A chunk worker's rows: the ``(m, n)`` matrix itself or, on the arena

@@ -1,12 +1,9 @@
-"""Array-based (numpy) pair counting — the large-n fast path.
+"""Array-based (numpy) pair classification — the large-n kernel.
 
 A second, structurally different implementation of the pair classifier
-behind ``K^(p)`` / ``K_prof`` / ``K_Haus``:
+behind ``K^(p)`` / ``K_prof`` / ``K_Haus``, over the dense bucket-index
+rows of :class:`~repro.core.codec.DomainCodec`:
 
-* per-ranking state comes from the dense arrays cached on
-  :class:`~repro.core.partial_ranking.PartialRanking` (keyed by the interned
-  :class:`~repro.core.codec.DomainCodec` of the domain), so repeated calls
-  over a shared profile encode each ranking exactly once;
 * tie counts fall out of run lengths of the lexicographically sorted
   ``(sigma, tau)`` bucket-index pairs;
 * strict discordances are strict inversions of the ``tau`` bucket sequence
@@ -15,38 +12,23 @@ behind ``K^(p)`` / ``K_prof`` / ``K_Haus``:
   concatenated offset-keyed left runs classifies every cross-run pair of
   the level at once, with no Python-level loop over runs.
 
-**Measured honestly** (see ``benchmarks/bench_batch.py`` and the committed
-``BENCH_PR2.json``): since the per-run Python loop was eliminated, this
-path beats the pure-Python Fenwick path in :mod:`repro.metrics.kendall`
-from a few hundred items up — the measured crossover is n ≈ 250, the
-inversion counter is ~3–4× faster at n = 100,000, and
-:func:`pair_counts_large` beats :func:`~repro.metrics.kendall.pair_counts`
-by ~4.4× there (``docs/PERFORMANCE.md`` has the full tables). Below the
-crossover the Fenwick tree, sized by the *bucket count*, still wins; both
-paths assert bit-for-bit equal counts in the test suite.
-:func:`kendall_large` / :func:`kendall_hausdorff_large` are the drop-in
-entry points; :func:`repro.metrics.batch.pairwise_distance_matrix` builds
-the all-pairs layer on the same kernels.
+:func:`repro.metrics.kendall.pair_counts` runs this classifier at or
+above a measured item-count threshold and the Fenwick tree below it (see
+``_ARRAY_MIN_ITEMS`` there and the ``pair_counts_crossover`` block of
+``BENCH_PR2.json``); the per-pair strategy of
+:func:`repro.metrics.batch.pairwise_distance_matrix` runs it on every
+row pair. Both paths are compared bit for bit by the ``pair-counts`` and
+``kendall-*`` oracles of :mod:`repro.verify`.
 """
 
 from __future__ import annotations
 
+from typing import Any
+
 import numpy as np
 import numpy.typing as npt
 
-from repro import obs
-from repro.core.codec import DomainCodec
-from repro.core.partial_ranking import PartialRanking
-from repro.errors import InvalidRankingError
-from repro.metrics.kendall import PairCounts
-from repro._util import pairs
-
-__all__ = [
-    "count_inversions_array",
-    "pair_counts_large",
-    "kendall_large",
-    "kendall_hausdorff_large",
-]
+__all__ = ["count_inversions_array"]  # repro: noqa[RP011] — runs under the metrics.pair_counts and metrics.batch spans of its callers
 
 
 def count_inversions_array(values: npt.ArrayLike) -> int:
@@ -100,78 +82,22 @@ def count_inversions_array(values: npt.ArrayLike) -> int:
     return total
 
 
-def _bucket_index_arrays(
-    sigma: PartialRanking, tau: PartialRanking
-) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.int64]]:
-    codec = DomainCodec.for_profile((sigma, tau))  # validates the common domain
-    x, _ = sigma.dense_arrays(codec)
-    y, _ = tau.dense_arrays(codec)
-    return x, y
+def _classify_rows(
+    x: npt.NDArray[np.signedinteger[Any]], y: npt.NDArray[np.signedinteger[Any]]
+) -> tuple[int, int]:
+    """(discordant, tied_both) between two bucket-index rows.
 
-
-def _tied_pairs_in_runs(
-    xs: npt.NDArray[np.int64], ys: npt.NDArray[np.int64]
-) -> int:
-    """Pairs inside maximal runs of equal ``(x, y)`` values (arrays sorted)."""
+    Lexicographic sort by ``(x asc, y asc)``: within equal ``x``, ``y`` is
+    ascending, so strict inversions of the sorted ``y`` sequence are
+    exactly the pairs strict in ``x`` and strictly reversed in ``y``, and
+    runs of equal ``(x, y)`` are the pairs tied in both rows.
+    """
+    order = np.lexsort((y, x))
+    xs, ys = x[order], y[order]
     n = len(xs)
     change = np.empty(n, dtype=bool)
     change[0] = True
     change[1:] = (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1])
     run_lengths = np.diff(np.append(np.flatnonzero(change), n))
-    return int((run_lengths * (run_lengths - 1) // 2).sum())
-
-
-def pair_counts_large(sigma: PartialRanking, tau: PartialRanking) -> PairCounts:
-    """Vectorized equivalent of :func:`repro.metrics.kendall.pair_counts`.
-
-    Kept as a thin tracing wrapper over :func:`_pair_counts_large_impl`
-    so ``benchmarks/bench_obs.py`` can measure the disabled-mode overhead
-    of the instrumentation as (wrapper − impl) directly.
-    """
-    if not obs.enabled():
-        return _pair_counts_large_impl(sigma, tau)
-    n = sum(sigma.type)
-    with obs.trace("metrics.fast.pair_counts_large", n=n):
-        obs.add("metrics.pairs", pairs(n))
-        return _pair_counts_large_impl(sigma, tau)
-
-
-def _pair_counts_large_impl(sigma: PartialRanking, tau: PartialRanking) -> PairCounts:
-    x, y = _bucket_index_arrays(sigma, tau)
-    n = len(x)
-    total = pairs(n)
-
-    tied_sigma = sum(pairs(size) for size in sigma.type)
-    tied_tau = sum(pairs(size) for size in tau.type)
-
-    # lexicographic sort by (x asc, y asc): within equal x, y is ascending,
-    # so strict inversions of the y sequence are exactly the pairs strict
-    # in x and strictly reversed in y, and runs of equal (x, y) are the
-    # pairs tied in both rankings
-    order = np.lexsort((y, x))
-    xs, ys = x[order], y[order]
-    tied_both = _tied_pairs_in_runs(xs, ys)
-    discordant = count_inversions_array(ys)
-
-    tied_first_only = tied_sigma - tied_both
-    tied_second_only = tied_tau - tied_both
-    concordant = total - discordant - tied_first_only - tied_second_only - tied_both
-    return PairCounts(
-        discordant=discordant,
-        tied_first_only=tied_first_only,
-        tied_second_only=tied_second_only,
-        tied_both=tied_both,
-        concordant=concordant,
-    )
-
-
-def kendall_large(sigma: PartialRanking, tau: PartialRanking, p: float = 0.5) -> float:
-    """``K^(p)`` via the vectorized pair counter (large domains)."""
-    if not 0.0 <= p <= 1.0:
-        raise InvalidRankingError(f"penalty parameter p={p} outside [0, 1]")
-    return pair_counts_large(sigma, tau).kendall(p)
-
-
-def kendall_hausdorff_large(sigma: PartialRanking, tau: PartialRanking) -> int:
-    """``K_Haus`` via the vectorized pair counter (Proposition 6)."""
-    return pair_counts_large(sigma, tau).kendall_hausdorff()
+    tied_both = int((run_lengths * (run_lengths - 1) // 2).sum())
+    return count_inversions_array(ys), tied_both

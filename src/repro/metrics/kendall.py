@@ -7,8 +7,9 @@ penalty ``p``; a strictly discordant pair incurs penalty 1; every other
 pair is free. ``K^(1/2)`` is the profile metric ``K_prof``.
 
 This module provides a fast O(n log n) implementation built on pair-category
-counting plus Fenwick-tree discordance counting, and a transparent O(n²)
-implementation used as the property-test oracle.
+counting plus discordance counting (a Fenwick tree on small domains, the
+array classifier of :mod:`repro.metrics.fast` on large ones), and a
+transparent O(n²) implementation used as the property-test oracle.
 """
 
 from __future__ import annotations
@@ -21,8 +22,10 @@ from typing import Any
 from repro import obs
 from repro._util import FenwickTree, pairs
 from repro.analysis.contracts import checked_metric, near_triangle_constant
+from repro.core.codec import DomainCodec
 from repro.core.partial_ranking import PartialRanking
 from repro.errors import DomainMismatchError, InvalidRankingError
+from repro.metrics.fast import _classify_rows
 
 __all__ = [
     "PairCounts",
@@ -82,15 +85,22 @@ def _require_common_domain(sigma: PartialRanking, tau: PartialRanking) -> None:
         )
 
 
+#: From this many items :func:`pair_counts` runs the array classifier, not
+#: the Fenwick tree: ``crossover_n`` of ``pair_counts_crossover`` in
+#: ``BENCH_PR2.json`` (``benchmarks/bench_batch.py``).
+_ARRAY_MIN_ITEMS = 192
+
+
 def pair_counts(sigma: PartialRanking, tau: PartialRanking) -> PairCounts:
     """Classify all unordered pairs of distinct items in O(n log n).
 
-    The discordant count uses a Fenwick tree: items are processed in
-    increasing ``sigma``-bucket order, one bucket at a time; within a bucket
-    nothing is counted (those pairs are tied in ``sigma``). For each item we
-    count previously inserted items sitting in a strictly *later*
-    ``tau``-bucket — exactly the pairs ordered one way by ``sigma`` and the
-    opposite way by ``tau``.
+    Below ``_ARRAY_MIN_ITEMS`` items the discordant count uses a Fenwick
+    tree: items are processed in increasing ``sigma``-bucket order, one
+    bucket at a time; within a bucket nothing is counted (those pairs are
+    tied in ``sigma``). For each item we count previously inserted items
+    sitting in a strictly *later* ``tau``-bucket — exactly the pairs
+    ordered one way by ``sigma`` and the opposite way by ``tau``. From
+    there on :mod:`repro.metrics.fast` classifies the bucket-index arrays.
     """
     if not obs.enabled():
         return _pair_counts_impl(sigma, tau)
@@ -102,11 +112,13 @@ def pair_counts(sigma: PartialRanking, tau: PartialRanking) -> PairCounts:
 
 def _pair_counts_impl(sigma: PartialRanking, tau: PartialRanking) -> PairCounts:
     _require_common_domain(sigma, tau)
-    n = len(sigma)
-    total = pairs(n)
+    if len(sigma) < _ARRAY_MIN_ITEMS:
+        return _pair_counts_fenwick(sigma, tau)
+    return _pair_counts_array(sigma, tau)
 
-    tied_sigma = sum(pairs(size) for size in sigma.type)
-    tied_tau = sum(pairs(size) for size in tau.type)
+
+def _pair_counts_fenwick(sigma: PartialRanking, tau: PartialRanking) -> PairCounts:
+    """The Fenwick-tree path, at any size (the domains must match)."""
     joint = Counter((sigma.bucket_index(x), tau.bucket_index(x)) for x in sigma.domain)
     tied_both = sum(pairs(count) for count in joint.values())
 
@@ -121,10 +133,25 @@ def _pair_counts_impl(sigma: PartialRanking, tau: PartialRanking) -> PairCounts:
         for rank in ranks:
             tree.add(rank)
         inserted += len(ranks)
+    return _from_counts(sigma, tau, discordant, tied_both)
 
-    tied_first_only = tied_sigma - tied_both
-    tied_second_only = tied_tau - tied_both
-    concordant = total - discordant - tied_first_only - tied_second_only - tied_both
+
+def _pair_counts_array(sigma: PartialRanking, tau: PartialRanking) -> PairCounts:
+    """The array path, at any size (the domains must match)."""
+    codec = DomainCodec.for_domain(sigma.domain)
+    x, _ = sigma.dense_arrays(codec)
+    y, _ = tau.dense_arrays(codec)
+    discordant, tied_both = _classify_rows(x, y)
+    return _from_counts(sigma, tau, discordant, tied_both)
+
+
+def _from_counts(
+    sigma: PartialRanking, tau: PartialRanking, discordant: int, tied_both: int
+) -> PairCounts:
+    """The five categories from the two counts that take a pass."""
+    tied_first_only = sum(pairs(size) for size in sigma.type) - tied_both
+    tied_second_only = sum(pairs(size) for size in tau.type) - tied_both
+    concordant = pairs(len(sigma)) - discordant - tied_first_only - tied_second_only - tied_both
     return PairCounts(
         discordant=discordant,
         tied_first_only=tied_first_only,

@@ -39,7 +39,6 @@ from repro.aggregate.batch import (
     median_top_k_batch,
 )
 from repro.aggregate.decompose import kemeny_decomposed
-from repro.aggregate.kemeny import kemeny_optimal
 from repro.aggregate.matching import optimal_footrule_aggregation
 from repro.aggregate.medrank import medrank, medrank_out_of_core
 from repro.aggregate.minmax import OBJECTIVES, aggregate
@@ -64,12 +63,7 @@ from repro.metrics.batch import (
     pair_counts_matrix,
     pairwise_distance_matrix,
 )
-from repro.metrics.fast import (
-    count_inversions_array,
-    kendall_hausdorff_large,
-    kendall_large,
-    pair_counts_large,
-)
+from repro.metrics.fast import count_inversions_array
 from repro.metrics.footrule import footrule, footrule_full
 from repro.metrics.hausdorff import (
     footrule_hausdorff,
@@ -80,6 +74,8 @@ from repro.metrics.hausdorff import (
 )
 from repro.metrics.kendall import (
     PairCounts,
+    _pair_counts_array,
+    _pair_counts_fenwick,
     kendall,
     kendall_full,
     kendall_naive,
@@ -96,6 +92,7 @@ from repro.metrics.normalized import (
 from repro.metrics.registry import CandidateScorer, registered_metrics
 from repro.verify.reference import (
     aggregate_exhaustive_scalar,
+    kemeny_monolithic,
     median_fixed_type_dict,
     median_full_ranking_dict,
     median_partial_ranking_dict,
@@ -265,6 +262,16 @@ def _pair_kendall(fn: Callable[..., float], p: float) -> _OracleFn:
     return call
 
 
+def _kendall_array(sigma: PartialRanking, tau: PartialRanking, p: float) -> float:
+    """``K^(p)`` through the array classifier, at any size."""
+    return _pair_counts_array(sigma, tau).kendall(p)
+
+
+def _kendall_hausdorff_array(sigma: PartialRanking, tau: PartialRanking) -> int:
+    """``K_Haus`` (Proposition 6) through the array classifier, at any size."""
+    return _pair_counts_array(sigma, tau).kendall_hausdorff()
+
+
 def _pair_counts_kernel(
     kernel: str, tile: int | None = None, jobs: int | None = None
 ) -> Callable[[Rankings], PairCountsMatrix]:
@@ -405,14 +412,15 @@ def _matching_variant(jobs: int | None) -> _OracleFn:
 
 def _kemeny_variant(jobs: int | None) -> _OracleFn:
     def call(rankings: Rankings) -> object:
-        return kemeny_optimal(rankings, jobs=jobs)
+        result = kemeny_decomposed(rankings, jobs=jobs, require_exact=True)
+        return result.ranking, result.objective
 
     return call
 
 
 def _kemeny_monolithic_objective(rankings: Rankings) -> object:
-    """The single-DP optimum value (the pre-decomposition code path)."""
-    _, objective = kemeny_optimal(rankings, decompose=False)
+    """The single-DP optimum value (no SCC condensation)."""
+    _, objective = kemeny_monolithic(rankings)
     return objective
 
 
@@ -712,11 +720,11 @@ def _build_entries() -> tuple[OracleEntry, ...]:
             name="pair-counts",
             kind="pair",
             citation="Proposition 6 pair categories (U, S, T)",
-            covers=("pair_counts", "pair_counts_large", "pair_counts_matrix"),
+            covers=("pair_counts", "pair_counts_matrix"),
             reference=_pair(_pair_counts_naive),
             variants=(
-                ("fenwick", _pair(pair_counts)),
-                ("array", _pair(pair_counts_large)),
+                ("fenwick", _pair(_pair_counts_fenwick)),
+                ("array", _pair(_pair_counts_array)),
                 ("matrix", _matrix_entry_pair_counts("public")),
                 ("matrix-one-tile", _matrix_entry_pair_counts("tiled")),
                 ("matrix-tile-1", _matrix_entry_pair_counts("tiled", tile=1)),
@@ -727,11 +735,11 @@ def _build_entries() -> tuple[OracleEntry, ...]:
             name="kendall-p-half",
             kind="pair",
             citation="K^(p) at p = 1/2 (K_prof)",
-            covers=("kendall", "kendall_large"),
+            covers=("kendall",),
             reference=_pair_kendall(kendall_naive, 0.5),
             variants=(
                 ("object", _pair_kendall(kendall, 0.5)),
-                ("array", _pair_kendall(kendall_large, 0.5)),
+                ("array", _pair_kendall(_kendall_array, 0.5)),
                 ("matrix", _matrix_entry_distance("kendall")),
             ),
         ),
@@ -739,22 +747,22 @@ def _build_entries() -> tuple[OracleEntry, ...]:
             name="kendall-p-quarter",
             kind="pair",
             citation="K^(p) in the near-metric regime p = 1/4 (Proposition 13)",
-            covers=("kendall", "kendall_large"),
+            covers=("kendall",),
             reference=_pair_kendall(kendall_naive, 0.25),
             variants=(
                 ("object", _pair_kendall(kendall, 0.25)),
-                ("array", _pair_kendall(kendall_large, 0.25)),
+                ("array", _pair_kendall(_kendall_array, 0.25)),
             ),
         ),
         OracleEntry(
             name="kendall-p-one",
             kind="pair",
             citation="K^(p) at p = 1 (ties fully penalized)",
-            covers=("kendall", "kendall_large"),
+            covers=("kendall",),
             reference=_pair_kendall(kendall_naive, 1.0),
             variants=(
                 ("object", _pair_kendall(kendall, 1.0)),
-                ("array", _pair_kendall(kendall_large, 1.0)),
+                ("array", _pair_kendall(_kendall_array, 1.0)),
             ),
         ),
         OracleEntry(
@@ -793,15 +801,11 @@ def _build_entries() -> tuple[OracleEntry, ...]:
             name="kendall-hausdorff",
             kind="pair",
             citation="K_Haus: Theorem 5 witnesses vs Proposition 6 closed form",
-            covers=(
-                "kendall_hausdorff",
-                "kendall_hausdorff_counts",
-                "kendall_hausdorff_large",
-            ),
+            covers=("kendall_hausdorff", "kendall_hausdorff_counts"),
             reference=_pair(kendall_hausdorff),
             variants=(
                 ("counts", _pair(kendall_hausdorff_counts)),
-                ("array", _pair(kendall_hausdorff_large)),
+                ("array", _pair(_kendall_hausdorff_array)),
                 ("matrix", _matrix_entry_distance("kendall_hausdorff")),
             ),
         ),

@@ -13,6 +13,9 @@ bit:
   ``(m, n)`` position matrix (:mod:`repro.aggregate.batch`);
 * the **Python Held–Karp DP** — the per-state generator-sum recurrence
   that :func:`repro.aggregate.kemeny._held_karp` batches into one GEMM;
+* the **monolithic Kemeny solver** — one Held–Karp DP over the whole
+  instance, the SCC-soundness reference for
+  :func:`repro.aggregate.decompose.kemeny_decomposed`;
 * the **scalar exhaustive aggregator** — every full ranking built as a
   :class:`PartialRanking` and scored with m scalar metric calls, the
   loop that exact :func:`repro.aggregate.minmax.aggregate` replaces with
@@ -27,7 +30,9 @@ from itertools import permutations
 import numpy as np
 import numpy.typing as npt
 
+from repro.aggregate.decompose import _MAX_EXACT
 from repro.aggregate.dp import optimal_partial_ranking
+from repro.aggregate.kemeny import _held_karp, pair_cost_array
 from repro.aggregate.median import (
     MedianTie,
     _check_tie,
@@ -45,6 +50,7 @@ __all__ = [
     "median_partial_ranking_dict",
     "median_fixed_type_dict",
     "held_karp_python",
+    "kemeny_monolithic",
     "aggregate_exhaustive_scalar",
 ]
 
@@ -163,6 +169,22 @@ def held_karp_python(
         mask ^= 1 << x
     order.reverse()
     return order, dp[full - 1]
+
+
+def kemeny_monolithic(
+    rankings: Sequence[PartialRanking], p: float = 0.5
+) -> tuple[PartialRanking, float]:
+    """Exact ``K^(p)`` aggregation by one Held–Karp DP over all n ≤ 16
+    items, without the SCC condensation whose soundness it checks."""
+    items, cost = pair_cost_array(rankings, p)
+    n = len(items)
+    if n > _MAX_EXACT:
+        raise AggregationError(
+            f"exact Kemeny refused for n={n} > {_MAX_EXACT}; "
+            "use median aggregation for large domains"
+        )
+    order, objective = _held_karp(cost, n)
+    return PartialRanking.from_sequence([items[x] for x in order]), objective
 
 
 def _scores(

@@ -34,7 +34,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.aggregate.decompose import kemeny_decomposed
-from repro.aggregate.kemeny import kemeny_optimal, pair_cost_array
+from repro.aggregate.kemeny import pair_cost_array
 from repro.aggregate.median import median_scores
 from repro.aggregate.objective import total_distance
 from repro.core.partial_ranking import PartialRanking
@@ -53,7 +53,7 @@ from repro.metrics.batch import (
 )
 from repro.metrics.kendall import kendall, kendall_full, pair_counts
 from repro.verify.oracles import Rankings
-from repro.verify.reference import median_scores_dict
+from repro.verify.reference import kemeny_monolithic, median_scores_dict
 
 __all__ = ["Relation", "relations"]
 
@@ -353,7 +353,7 @@ def _check_scc_decomposition(rankings: Rankings) -> str | None:
     result = kemeny_decomposed(rankings, require_exact=True)
     if not result.exact:
         return "require_exact=True returned a result with exact=False"
-    _, monolithic = kemeny_optimal(rankings, decompose=False)
+    _, monolithic = kemeny_monolithic(rankings)
     if result.objective != monolithic:
         return (
             f"decomposed optimum {result.objective} != monolithic "

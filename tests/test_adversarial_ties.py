@@ -3,8 +3,8 @@
 The structures where tie-handling bugs hide: the single bucket of all n
 items (every pair tied), n singletons (no ties), and k singletons over
 one giant bucket of n−k. For every pair drawn from the battery the three
-implementation layers — object-level metrics, ``metrics.fast`` array
-kernels, and ``metrics.batch`` matrix entries — must agree *exactly*
+implementation layers — object-level metrics, the ``metrics.fast``
+array classifier, and ``metrics.batch`` matrix entries — must agree *exactly*
 (these are integer/half-integer values; no tolerance), and the
 Proposition 6 closed form ``K_Haus = |U| + max(|S|, |T|)`` must hold.
 """
@@ -20,13 +20,11 @@ from repro.metrics import (
     footrule_hausdorff,
     kendall,
     kendall_hausdorff_counts,
-    kendall_hausdorff_large,
-    kendall_large,
     pair_counts,
-    pair_counts_large,
     pairwise_distance_matrix,
 )
 from repro.metrics.hausdorff import kendall_hausdorff
+from repro.metrics.kendall import _pair_counts_array, _pair_counts_fenwick
 
 
 def _battery(n: int) -> list[tuple[str, PartialRanking]]:
@@ -61,13 +59,14 @@ def _pairs(n: int):
 @pytest.mark.parametrize("sigma,tau", [p for n in (2, 5, 9) for p in _pairs(n)])
 class TestLayersAgreeExactly:
     def test_pair_counts_all_layers(self, sigma, tau):
-        reference = pair_counts(sigma, tau)
-        assert pair_counts_large(sigma, tau) == reference
+        reference = _pair_counts_fenwick(sigma, tau)
+        assert pair_counts(sigma, tau) == reference
+        assert _pair_counts_array(sigma, tau) == reference
 
     def test_kendall_all_layers(self, sigma, tau):
         for p in (0.0, 0.25, 0.5, 1.0):
             object_level = kendall(sigma, tau, p)
-            array_level = kendall_large(sigma, tau, p)
+            array_level = _pair_counts_array(sigma, tau).kendall(p)
             assert object_level == array_level  # bit-for-bit, no tolerance
         matrix = pairwise_distance_matrix([sigma, tau], "kendall")
         object_half = kendall(sigma, tau)
@@ -76,7 +75,7 @@ class TestLayersAgreeExactly:
 
     def test_kendall_hausdorff_all_layers(self, sigma, tau):
         closed_form = kendall_hausdorff_counts(sigma, tau)
-        assert kendall_hausdorff_large(sigma, tau) == closed_form
+        assert _pair_counts_array(sigma, tau).kendall_hausdorff() == closed_form
         assert kendall_hausdorff(sigma, tau) == closed_form  # Theorem 5 witnesses
         matrix = pairwise_distance_matrix([sigma, tau], "kendall_hausdorff")
         assert matrix[0, 1] == closed_form

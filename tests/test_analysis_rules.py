@@ -530,7 +530,7 @@ class TestRP010OracleCoverage:
 
     _ORACLES = (
         "ENTRIES = (\n"
-        "    OracleEntry(name='kendall-p-half', covers=('kendall', 'kendall_large')),\n"
+        "    OracleEntry(name='kendall-p-half', covers=('kendall', 'kendall_full')),\n"
         "    OracleEntry(name='footrule', covers=('footrule',)),\n"
         ")\n"
     )
@@ -557,7 +557,7 @@ class TestRP010OracleCoverage:
         assert result.active[0].severity is Severity.ERROR
 
     def test_negative_all_covered(self, tmp_path):
-        root = self._project(tmp_path, "['kendall', 'kendall_large', 'footrule']")
+        root = self._project(tmp_path, "['kendall', 'kendall_full', 'footrule']")
         result = analyze_paths([root / "src"], root=root, select=["RP010"])
         assert codes(result) == []
 
@@ -619,7 +619,7 @@ class TestRP010OracleCoverage:
 
     def test_silent_when_aggregate_batch_absent(self, tmp_path):
         # the metrics-only project from the fixtures above stays valid
-        root = self._project(tmp_path, "['kendall', 'kendall_large', 'footrule']")
+        root = self._project(tmp_path, "['kendall', 'kendall_full', 'footrule']")
         result = analyze_paths([root / "src"], root=root, select=["RP010"])
         assert codes(result) == []
 

@@ -1,7 +1,7 @@
 """The batch layer: bit-for-bit equality with the per-pair metrics.
 
-Part of the axiom/equivalence matrix (RP008): the array fast path
-(``kendall_large``, ``kendall_hausdorff_large``, ``pair_counts_large``)
+Part of the axiom/equivalence matrix (RP008): the array pair classifier
+(forced at any size through ``repro.metrics.kendall._pair_counts_array``)
 and the all-pairs layer (``pair_counts_matrix``,
 ``pairwise_distance_matrix``) are checked against the object
 implementations and the O(n²)/exponential oracles with ``==`` — no
@@ -28,10 +28,7 @@ from repro.metrics import (
     footrule_hausdorff,
     kendall,
     kendall_hausdorff,
-    kendall_hausdorff_large,
-    kendall_large,
     pair_counts,
-    pair_counts_large,
     pairwise_distance_matrix,
 )
 from repro.metrics.batch import (
@@ -41,7 +38,7 @@ from repro.metrics.batch import (
     pair_counts_matrix,
 )
 from repro.metrics.fast import count_inversions_array
-from repro.metrics.kendall import kendall_naive
+from repro.metrics.kendall import _pair_counts_array, _pair_counts_fenwick, kendall_naive
 import repro.metrics.plugins  # noqa: F401 - registers the plugin metrics
 from repro.metrics.registry import get_metric, metric_names
 
@@ -89,37 +86,39 @@ class TestCountInversionsArray:
 
 class TestFastPath:
     @given(bucket_order_pairs(max_size=7))
-    def test_pair_counts_large_matches_fenwick(self, pair) -> None:
+    def test_array_path_matches_fenwick(self, pair) -> None:
         sigma, tau = pair
-        assert pair_counts_large(sigma, tau) == pair_counts(sigma, tau)
+        assert _pair_counts_array(sigma, tau) == _pair_counts_fenwick(sigma, tau)
 
     @given(bucket_order_pairs(max_size=6), st.floats(min_value=0.0, max_value=1.0))
-    def test_kendall_large_matches_fast(self, pair, p: float) -> None:
+    def test_kendall_array_matches_fast(self, pair, p: float) -> None:
         sigma, tau = pair
-        assert kendall_large(sigma, tau, p) == kendall(sigma, tau, p)
+        assert _pair_counts_array(sigma, tau).kendall(p) == kendall(sigma, tau, p)
 
     @given(bucket_order_pairs(max_size=6), st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]))
-    def test_kendall_large_matches_naive(self, pair, p: float) -> None:
+    def test_kendall_array_matches_naive(self, pair, p: float) -> None:
         # dyadic p: every term is exact in float64, so the naive oracle's
         # sequential accumulation agrees bit for bit
         sigma, tau = pair
-        assert kendall_large(sigma, tau, p) == kendall_naive(sigma, tau, p)
+        assert _pair_counts_array(sigma, tau).kendall(p) == kendall_naive(sigma, tau, p)
 
     @given(bucket_order_pairs(max_size=6))
-    def test_kendall_hausdorff_large_matches_witnesses(self, pair) -> None:
+    def test_kendall_hausdorff_array_matches_witnesses(self, pair) -> None:
         sigma, tau = pair
-        assert kendall_hausdorff_large(sigma, tau) == kendall_hausdorff(sigma, tau)
+        assert _pair_counts_array(sigma, tau).kendall_hausdorff() == (
+            kendall_hausdorff(sigma, tau)
+        )
 
     def test_domain_mismatch_rejected(self) -> None:
         sigma = PartialRanking.from_sequence([1, 2, 3])
         tau = PartialRanking.from_sequence([1, 2, 4])
         with pytest.raises(DomainMismatchError):
-            pair_counts_large(sigma, tau)
+            pair_counts(sigma, tau)
 
     def test_bad_penalty_rejected(self) -> None:
         sigma = PartialRanking.from_sequence([1, 2])
         with pytest.raises(InvalidRankingError):
-            kendall_large(sigma, sigma, p=1.5)
+            kendall(sigma, sigma, p=1.5)
 
 
 def _assert_same_counts(a, b) -> None:

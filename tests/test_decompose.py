@@ -22,7 +22,7 @@ from repro.aggregate.decompose import (
     dominance_components,
     kemeny_decomposed,
 )
-from repro.aggregate.kemeny import kemeny_optimal, pair_cost_array
+from repro.aggregate.kemeny import pair_cost_array
 from repro.aggregate.objective import total_distance
 from repro.core.partial_ranking import PartialRanking
 from repro.errors import AggregationError
@@ -32,6 +32,7 @@ from repro.generators.workloads import (
     banded_profile_workload,
     mallows_profile_workload,
 )
+from repro.verify.reference import kemeny_monolithic
 
 
 def _rotation_profile(n: int, shifts=(0, 1, 2)) -> list[PartialRanking]:
@@ -53,7 +54,7 @@ class TestMatchesMonolithic:
         rng = resolve_rng(seed)
         rankings = [random_bucket_order(n, rng, tie_bias=0.4) for _ in range(4)]
         result = kemeny_decomposed(rankings, require_exact=True)
-        _, monolithic = kemeny_optimal(rankings, decompose=False)
+        _, monolithic = kemeny_monolithic(rankings)
         assert result.exact
         # dyadic p=1/2 keeps every partial sum exact -> equality, not approx
         assert result.objective == monolithic
@@ -63,7 +64,7 @@ class TestMatchesMonolithic:
     def test_mallows_profiles(self, seed):
         workload = mallows_profile_workload(n=8, m=5, phi=0.4, seed=seed)
         result = kemeny_decomposed(workload.rankings, require_exact=True)
-        _, monolithic = kemeny_optimal(workload.rankings, decompose=False)
+        _, monolithic = kemeny_monolithic(workload.rankings)
         assert result.objective == monolithic
 
     @settings(max_examples=10, deadline=None)
@@ -71,7 +72,7 @@ class TestMatchesMonolithic:
     def test_adversarial_tie_profiles(self, seed):
         workload = adversarial_profile_workload(n=7, seed=seed)
         result = kemeny_decomposed(workload.rankings, require_exact=True)
-        _, monolithic = kemeny_optimal(workload.rankings, decompose=False)
+        _, monolithic = kemeny_monolithic(workload.rankings)
         assert result.objective == monolithic
 
     def test_reported_objective_matches_reevaluation(self):
@@ -162,7 +163,7 @@ class TestFallback:
         for _ in range(5):
             rankings = [random_bucket_order(8, rng, tie_bias=0.4) for _ in range(5)]
             forced = kemeny_decomposed(rankings, max_exact=1)
-            _, optimum = kemeny_optimal(rankings, decompose=False)
+            _, optimum = kemeny_monolithic(rankings)
             if optimum == 0:
                 continue
             assert forced.objective <= 1.5 * optimum + 1e-9
@@ -170,6 +171,21 @@ class TestFallback:
     def test_max_exact_validated(self):
         with pytest.raises(AggregationError):
             kemeny_decomposed([PartialRanking.from_sequence("ab")], max_exact=0)
+
+    def test_max_exact_bool_rejected(self):
+        # True is an int subclass: it used to act as a cap of 1, so a
+        # 3-cycle quietly came back with exact=False
+        with pytest.raises(AggregationError, match="must be an int"):
+            kemeny_decomposed(_rotation_profile(3), max_exact=True)
+
+    def test_max_exact_float_rejected(self):
+        with pytest.raises(AggregationError, match="must be an int"):
+            kemeny_decomposed(_rotation_profile(3), max_exact=2.5)
+
+    def test_max_exact_string_rejected(self):
+        # used to escape as a bare TypeError from the size comparison
+        with pytest.raises(AggregationError, match="must be an int"):
+            kemeny_decomposed(_rotation_profile(3), max_exact="7")
 
 
 class TestObservability:

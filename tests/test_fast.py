@@ -1,6 +1,8 @@
-"""Tests for the array-based (numpy) pair counter."""
+"""Tests for the array-based (numpy) pair counter and where pair_counts uses it."""
 
 from __future__ import annotations
+
+import importlib
 
 import numpy as np
 import pytest
@@ -10,14 +12,15 @@ from hypothesis import strategies as st
 from repro.core.partial_ranking import PartialRanking
 from repro.errors import DomainMismatchError, InvalidRankingError
 from repro.generators.random import random_bucket_order, resolve_rng
-from repro.metrics.fast import (
-    count_inversions_array,
-    kendall_hausdorff_large,
-    kendall_large,
-    pair_counts_large,
-)
+from repro.metrics.fast import count_inversions_array
 from repro.metrics.hausdorff import kendall_hausdorff_counts
-from repro.metrics.kendall import kendall, pair_counts
+from repro.metrics.kendall import (
+    _ARRAY_MIN_ITEMS,
+    _pair_counts_array,
+    _pair_counts_fenwick,
+    kendall,
+    pair_counts,
+)
 from tests.conftest import bucket_order_pairs
 
 
@@ -49,36 +52,58 @@ class TestPairCountsLarge:
     @given(bucket_order_pairs(max_size=7))
     def test_bitwise_equal_to_fenwick_path(self, pair):
         sigma, tau = pair
-        assert pair_counts_large(sigma, tau) == pair_counts(sigma, tau)
+        assert _pair_counts_array(sigma, tau) == _pair_counts_fenwick(sigma, tau)
 
     def test_medium_random_cross_check(self):
         rng = resolve_rng(5)
         for tie_bias in (0.0, 0.5, 0.95):
             sigma = random_bucket_order(500, rng, tie_bias=tie_bias)
             tau = random_bucket_order(500, rng, tie_bias=tie_bias)
-            assert pair_counts_large(sigma, tau) == pair_counts(sigma, tau)
+            assert pair_counts(sigma, tau) == _pair_counts_fenwick(sigma, tau)
 
     def test_domain_mismatch_rejected(self):
         with pytest.raises(DomainMismatchError):
-            pair_counts_large(PartialRanking([["a"]]), PartialRanking([["b"]]))
+            pair_counts(PartialRanking([["a"]]), PartialRanking([["b"]]))
+
+
+class TestThreshold:
+    @pytest.mark.parametrize(
+        ("n", "array_path"), [(_ARRAY_MIN_ITEMS - 1, False), (_ARRAY_MIN_ITEMS, True)]
+    )
+    def test_public_path_matches_fenwick_either_side(self, monkeypatch, n, array_path):
+        # the module, not the same-named function repro.metrics exports
+        kendall_module = importlib.import_module("repro.metrics.kendall")
+        calls = []
+
+        def spy(sigma, tau):
+            calls.append(len(sigma))
+            return _pair_counts_array(sigma, tau)
+
+        monkeypatch.setattr(kendall_module, "_pair_counts_array", spy)
+        rng = resolve_rng(n)
+        for tie_bias in (0.0, 0.5, 0.95):
+            sigma = random_bucket_order(n, rng, tie_bias=tie_bias)
+            tau = random_bucket_order(n, rng, tie_bias=tie_bias)
+            assert pair_counts(sigma, tau) == _pair_counts_fenwick(sigma, tau)
+        assert calls == ([n] * 3 if array_path else [])
 
 
 class TestEntryPoints:
     @settings(max_examples=30)
     @given(bucket_order_pairs(max_size=7))
-    def test_kendall_large_matches_kendall(self, pair):
+    def test_kendall_array_matches_kendall(self, pair):
         sigma, tau = pair
         for p in (0.0, 0.5, 1.0):
-            assert kendall_large(sigma, tau, p) == pytest.approx(kendall(sigma, tau, p))
+            assert _pair_counts_array(sigma, tau).kendall(p) == kendall(sigma, tau, p)
 
     @given(bucket_order_pairs(max_size=7))
     def test_hausdorff_large_matches_closed_form(self, pair):
         sigma, tau = pair
-        assert kendall_hausdorff_large(sigma, tau) == kendall_hausdorff_counts(
-            sigma, tau
+        assert _pair_counts_array(sigma, tau).kendall_hausdorff() == (
+            kendall_hausdorff_counts(sigma, tau)
         )
 
     def test_bad_p_rejected(self):
-        sigma = PartialRanking([["a", "b"]])
+        sigma = PartialRanking([list(range(_ARRAY_MIN_ITEMS))])
         with pytest.raises(InvalidRankingError):
-            kendall_large(sigma, sigma, p=-0.5)
+            kendall(sigma, sigma, p=-0.5)

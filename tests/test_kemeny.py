@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 import numpy as np
 
+from repro.aggregate.decompose import kemeny_decomposed
 from repro.aggregate.exact import optimal_full_ranking
 from repro.aggregate.kemeny import (
     _held_karp,
     kemeny_lower_bound,
-    kemeny_optimal,
     pair_cost_array,
 )
 from repro.aggregate.scoring import ScoringScheme, resolve_scheme
@@ -21,7 +21,13 @@ from repro.aggregate.objective import total_distance
 from repro.core.partial_ranking import PartialRanking
 from repro.errors import AggregationError
 from repro.generators.random import random_bucket_order, resolve_rng
-from repro.verify.reference import held_karp_python
+from repro.verify.reference import held_karp_python, kemeny_monolithic
+
+
+def kemeny_exact(rankings, p=0.5, **kwargs):
+    """(ranking, objective) of the certified decomposed optimum."""
+    result = kemeny_decomposed(rankings, p, require_exact=True, **kwargs)
+    return result.ranking, result.objective
 
 
 class TestPairCostMatrix:
@@ -62,14 +68,14 @@ class TestKemenyOptimal:
     def test_matches_factorial_bruteforce(self, seed):
         rng = resolve_rng(seed)
         rankings = [random_bucket_order(5, rng) for _ in range(3)]
-        _, dp_cost = kemeny_optimal(rankings)
+        _, dp_cost = kemeny_exact(rankings)
         _, brute_cost = optimal_full_ranking(rankings, metric="k_prof")
         assert dp_cost == pytest.approx(brute_cost)
 
     def test_reported_cost_matches_objective(self):
         rng = resolve_rng(9)
         rankings = [random_bucket_order(8, rng) for _ in range(5)]
-        best, cost = kemeny_optimal(rankings)
+        best, cost = kemeny_exact(rankings)
         assert best.is_full
         assert total_distance(best, rankings, "k_prof") == pytest.approx(cost)
 
@@ -77,7 +83,7 @@ class TestKemenyOptimal:
         rng = resolve_rng(21)
         for _ in range(5):
             rankings = [random_bucket_order(7, rng) for _ in range(5)]
-            _, exact_cost = kemeny_optimal(rankings)
+            _, exact_cost = kemeny_exact(rankings)
             median_cost = total_distance(
                 median_full_ranking(rankings), rankings, "k_prof"
             )
@@ -85,28 +91,28 @@ class TestKemenyOptimal:
 
     def test_unanimous_inputs_reproduced(self):
         sigma = PartialRanking.from_sequence("dbca")
-        best, cost = kemeny_optimal([sigma, sigma, sigma])
+        best, cost = kemeny_exact([sigma, sigma, sigma])
         assert best == sigma
         assert cost == 0.0
 
     def test_monolithic_size_guard(self):
-        # the monolithic DP still refuses n > 16 outright ...
+        # the monolithic reference DP refuses n > 16 outright ...
         rankings = [PartialRanking.from_sequence(range(17))]
         with pytest.raises(AggregationError):
-            kemeny_optimal(rankings, decompose=False)
+            kemeny_monolithic(rankings)
 
     def test_decomposition_lifts_cap_on_ordered_input(self):
-        # ... but the default decomposed path condenses the unanimous
+        # ... but the decomposed solver condenses the unanimous
         # order into 17 singleton components and solves it instantly
         rankings = [PartialRanking.from_sequence(range(17))]
-        best, cost = kemeny_optimal(rankings)
+        best, cost = kemeny_exact(rankings)
         assert best == rankings[0]
         assert cost == 0.0
 
     def test_decomposed_path_refuses_one_big_scc(self):
         # rotations of the same order produce a single dominance SCC
-        # spanning all n items: no decomposition helps, so the default
-        # path must refuse just like the monolithic solver
+        # spanning all n items: no decomposition helps, so the certified
+        # solver must refuse just like the monolithic reference
         n = 20
         base = list(range(n))
         rankings = [
@@ -114,7 +120,7 @@ class TestKemenyOptimal:
             for shift in (0, 1, 2)
         ]
         with pytest.raises(AggregationError):
-            kemeny_optimal(rankings)
+            kemeny_exact(rankings)
 
     def test_condorcet_cycle_resolved_optimally(self):
         # the classical 3-voter cycle: a>b>c, b>c>a, c>a>b
@@ -123,7 +129,7 @@ class TestKemenyOptimal:
             PartialRanking.from_sequence("bca"),
             PartialRanking.from_sequence("cab"),
         ]
-        _, cost = kemeny_optimal(rankings)
+        _, cost = kemeny_exact(rankings)
         # by symmetry every full ranking costs 4 here: each voter's own
         # order disagrees with each other voter on exactly 2 pairs; the
         # pairwise lower bound of 3 is unattainable because of the cycle
@@ -177,8 +183,8 @@ class TestScoringScheme:
     def test_optimal_accepts_scheme_passthrough(self):
         rng = resolve_rng(11)
         rankings = [random_bucket_order(6, rng, tie_bias=0.3) for _ in range(3)]
-        via_p = kemeny_optimal(rankings, p=0.25)
-        via_scheme = kemeny_optimal(rankings, scheme=ScoringScheme.kendall(0.25))
+        via_p = kemeny_exact(rankings, p=0.25)
+        via_scheme = kemeny_exact(rankings, scheme=ScoringScheme.kendall(0.25))
         assert via_p == via_scheme
 
 
@@ -231,7 +237,7 @@ class TestLowerBound:
         for _ in range(10):
             rankings = [random_bucket_order(7, rng) for _ in range(4)]
             bound = kemeny_lower_bound(rankings)
-            _, cost = kemeny_optimal(rankings)
+            _, cost = kemeny_exact(rankings)
             assert bound <= cost + 1e-9
 
     def test_tight_on_acyclic_majority(self):
@@ -241,5 +247,5 @@ class TestLowerBound:
             PartialRanking.from_sequence("dcba"),
         ]
         bound = kemeny_lower_bound(rankings)
-        _, cost = kemeny_optimal(rankings)
+        _, cost = kemeny_exact(rankings)
         assert bound == pytest.approx(cost)

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import doctest
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +33,23 @@ class TestExports:
         for module in (core, metrics, aggregate, db, generators):
             for name in module.__all__:
                 assert hasattr(module, name), f"{module.__name__}.{name} missing"
+
+
+class TestImportFootprint:
+    def test_import_leaves_graph_library_unloaded(self):
+        # the Condorcet diagnostics read the dominance digraph off the
+        # pair-cost matrix; no graph library is a dependency any more
+        src = Path(repro.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        probe = "import sys, repro; print('networkx' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+        )
+        assert result.stdout.strip() == "False"
 
 
 class TestDoctests:

@@ -36,7 +36,7 @@ from typing import Any
 import pytest
 
 from repro import obs
-from repro.aggregate.kemeny import kemeny_optimal
+from repro.aggregate.decompose import kemeny_decomposed
 from repro.aggregate.median import median_scores
 from repro.core.partial_ranking import PartialRanking
 from repro.errors import AggregationError
@@ -326,7 +326,7 @@ class TestKemenyConsensus:
             return await service.consensus(DOMAIN, kind="kemeny")
 
         got = run(scenario())
-        expected, _ = kemeny_optimal(rankings)
+        expected = kemeny_decomposed(rankings, require_exact=True).ranking
         assert got == expected
 
     def test_mutation_invalidates_kemeny_cache(self):
@@ -347,8 +347,8 @@ class TestKemenyConsensus:
         first, hits, after, stats = run(scenario())
         assert hits == 1  # the repeat hit; the query after the update missed
         assert stats == {"hits": 1, "misses": 2, "invalidations": 1}
-        assert first == kemeny_optimal([r1, r2])[0]
-        assert after == kemeny_optimal([r1, r2, r3])[0]
+        assert first == kemeny_decomposed([r1, r2], require_exact=True).ranking
+        assert after == kemeny_decomposed([r1, r2, r3], require_exact=True).ranking
 
     def test_uncertifiable_shard_refused(self):
         # rotations over 20 items form one dominance SCC past the DP cap,
@@ -658,7 +658,7 @@ class TestHTTP:
                 server.port, "/v1/consensus", {"domain": domain, "kind": "kemeny"}
             )
             assert status == 200
-            expected, _ = kemeny_optimal(rankings)
+            expected = kemeny_decomposed(rankings, require_exact=True).ranking
             assert body["result"] == _literal(expected)
 
         self._serve(scenario)

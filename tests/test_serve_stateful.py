@@ -34,7 +34,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, rule
 
-from repro.aggregate.kemeny import kemeny_optimal
+from repro.aggregate.decompose import kemeny_decomposed
 from repro.aggregate.median import (
     median_full_ranking,
     median_partial_ranking,
@@ -192,7 +192,7 @@ class ServeModelHarness:
             # the certified-exact consensus: the tiny test domains are
             # always within the per-component DP cap, so the service must
             # answer (never 409) and agree with the offline solver
-            expected, _ = kemeny_optimal(rankings)
+            expected = kemeny_decomposed(rankings, require_exact=True).ranking
             assert got == expected
         else:
             assert got == median_top_k(rankings, k)  # type: ignore[arg-type]

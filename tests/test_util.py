@@ -1,9 +1,8 @@
-"""Unit tests for repro._util: Fenwick tree, inversions, slice costs."""
+"""Unit tests for repro._util: Fenwick tree, slice costs, partitions."""
 
 from __future__ import annotations
 
 import random
-from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -12,7 +11,6 @@ from hypothesis import strategies as st
 from repro._util import (
     FenwickTree,
     SortedSliceL1,
-    count_inversions,
     ordered_partitions,
     pairs,
     sorted_slice_l1,
@@ -61,29 +59,6 @@ class TestFenwickTree:
             counts[index] += 1
         for prefix in range(20):
             assert tree.prefix_sum(prefix) == sum(counts[: prefix + 1])
-
-
-class TestCountInversions:
-    def test_empty_and_singleton(self):
-        assert count_inversions([]) == 0
-        assert count_inversions([5]) == 0
-
-    def test_sorted_has_none(self):
-        assert count_inversions([1, 2, 3, 4]) == 0
-
-    def test_reverse_has_all(self):
-        assert count_inversions([4, 3, 2, 1]) == 6
-
-    def test_ties_do_not_count(self):
-        assert count_inversions([2, 2, 2]) == 0
-        assert count_inversions([3, 2, 2]) == 2
-
-    @given(st.lists(st.integers(min_value=-5, max_value=5), max_size=40))
-    def test_matches_quadratic_definition(self, values):
-        expected = sum(
-            1 for i, j in combinations(range(len(values)), 2) if values[i] > values[j]
-        )
-        assert count_inversions(values) == expected
 
 
 class TestSortedSliceL1:
