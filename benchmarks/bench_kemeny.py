@@ -59,10 +59,10 @@ def _banded_profile():
     ).rankings
 
 
-def _dp_cost(n):
+def _dp_counts(n):
     profile = random_profile_workload(n, 5, seed=4, tie_bias=0.3).rankings
-    _, cost = pair_cost_array(profile)
-    return cost
+    _, ahead, _ = pair_cost_array(profile)
+    return ahead
 
 
 class TestDecomposedSolve:
@@ -87,16 +87,16 @@ class TestDecomposedSolve:
 
 class TestHeldKarp:
     def test_vectorized(self, benchmark):
-        cost = _dp_cost(_DP_ITEMS)
-        order, value = benchmark(_held_karp, cost, _DP_ITEMS)
+        ahead = _dp_counts(_DP_ITEMS)
+        order, value = benchmark(_held_karp, ahead, _DP_ITEMS)
         assert sorted(order) == list(range(_DP_ITEMS))
-        assert value >= 0.0
+        assert value >= 0
 
     def test_python_reference(self, benchmark):
-        cost = _dp_cost(_DP_ITEMS)
-        order, value = benchmark(held_karp_python, cost, _DP_ITEMS)
-        # bit-identical to the vectorized DP, tie resolution included
-        assert (order, value) == _held_karp(cost, _DP_ITEMS)
+        ahead = _dp_counts(_DP_ITEMS)
+        order, value = benchmark(held_karp_python, ahead, _DP_ITEMS)
+        # identical to the vectorized DP, tie resolution included
+        assert (order, value) == _held_karp(ahead, _DP_ITEMS)
 
 
 # ----------------------------------------------------------------------
@@ -132,10 +132,10 @@ def _banded_acceptance(repeats=5):
 
 
 def _held_karp_comparison(n, repeats=3):
-    """Vectorized vs Python-reference DP at one size, bit-identity checked."""
-    cost = _dp_cost(n)
-    t_vec, vec = _best_of(_held_karp, cost, n, repeats=repeats)
-    t_ref, ref = _best_of(held_karp_python, cost, n, repeats=repeats)
+    """Vectorized vs Python-reference DP at one size, identity checked."""
+    ahead = _dp_counts(n)
+    t_vec, vec = _best_of(_held_karp, ahead, n, repeats=repeats)
+    t_ref, ref = _best_of(held_karp_python, ahead, n, repeats=repeats)
     assert vec == ref
     states = 1 << n
     return {
@@ -150,7 +150,7 @@ def _held_karp_comparison(n, repeats=3):
 
 def _cost_timing(n, m, repeats=5):
     profile = random_profile_workload(n, m, seed=2).rankings
-    seconds, (items, _) = _best_of(pair_cost_array, profile, repeats=repeats)
+    seconds, (items, _, _) = _best_of(pair_cost_array, profile, repeats=repeats)
     return {"n_items": len(items), "m_rankings": m, "seconds": round(seconds, 5)}
 
 

@@ -20,7 +20,7 @@ metrics:
 * :mod:`repro.aggregate.exact` — brute-force optima for small domains.
 * :func:`kemeny_decomposed` — SCC-condensed exact ``K^(p)`` aggregation
   (per-component Held–Karp over the :func:`pair_cost_array` dominance
-  digraph, pluggable :class:`ScoringScheme` penalties;
+  digraph, solved once on integer disagreement counts at every ``p``;
   ``require_exact=True`` certifies the optimum). The Condorcet
   diagnostics (:func:`is_condorcet_consistent`, :func:`condorcet_winner`,
   :func:`topological_aggregation`) read the same digraph.
@@ -42,7 +42,6 @@ from repro.aggregate.decompose import DecomposedResult, kemeny_decomposed
 from repro.aggregate.dp import bucketing_cost, optimal_bucketing, optimal_partial_ranking
 from repro.aggregate.kemeny import kemeny_lower_bound, pair_cost_array
 from repro.aggregate.matching import optimal_footrule_aggregation
-from repro.aggregate.scoring import ScoringScheme
 from repro.aggregate.median import (
     MedianAggregator,
     median_fixed_type,
@@ -93,7 +92,6 @@ __all__ = [
     "kemeny_lower_bound",
     "kemeny_decomposed",
     "DecomposedResult",
-    "ScoringScheme",
     "pair_cost_array",
     "condorcet_winner",
     "is_condorcet_consistent",

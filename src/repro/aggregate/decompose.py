@@ -1,8 +1,8 @@
 """SCC-condensed exact Kemeny: divide-and-conquer over the dominance digraph.
 
 The ParCons observation (Andrieu et al.'s ``corankcolight``): build the
-*dominance digraph* — edge ``x → y`` whenever placing ``x`` before ``y``
-is strictly cheaper than the opposite under the pair-cost matrix — and
+*dominance digraph* — edge ``x → y`` whenever fewer inputs rank ``y``
+strictly ahead of ``x`` than the opposite — and
 condense it into strongly-connected components. Between two distinct
 SCCs every edge points the same way (two opposing edges would merge the
 components through the paths inside them), so ordering the condensation
@@ -19,9 +19,11 @@ Components up to ``max_exact`` (default 16) items are solved exactly by
 the vectorized Held–Karp DP; larger ones fall back to a Borda-seeded
 adjacent-swap local search unless ``require_exact`` is set, and the
 result's ``exact`` flag reports whether the global optimum is certified.
-Penalty vectors plug in through
-:class:`~repro.aggregate.scoring.ScoringScheme` exactly as in
-:mod:`repro.aggregate.kemeny`.
+Everything runs on the integer counts of
+:func:`~repro.aggregate.kemeny.pair_cost_array`, so the ranking, the
+components and the certification are the same at every ``p``; ``p`` is
+added only to the reported objective and lower bound (docs/THEORY.md,
+"Kemeny p-invariance").
 """
 
 from __future__ import annotations
@@ -34,13 +36,8 @@ import numpy as np
 import numpy.typing as npt
 
 from repro import obs
-from repro.aggregate.kemeny import (
-    _held_karp,
-    _lower_bound_from_cost,
-    pair_cost_array,
-)
-from repro.aggregate.objective import validate_max_exact
-from repro.aggregate.scoring import ScoringScheme
+from repro.aggregate.kemeny import _held_karp, _pairwise_minimum, pair_cost_array
+from repro.aggregate.objective import validate_max_exact, validate_penalty
 from repro.core.partial_ranking import Item, PartialRanking
 from repro.errors import AggregationError
 
@@ -65,7 +62,7 @@ class DecomposedResult:
     #: Items per strongly-connected component, condensation-topological
     #: order (the order they appear in ``ranking``).
     components: tuple[tuple[Item, ...], ...]
-    #: ``sum_{pairs} min(cost(x<y), cost(y<x))`` for the whole instance.
+    #: ``sum_{pairs} min(D[x, y], D[y, x]) + p·T`` for the whole instance.
     lower_bound: float
     #: Total Held–Karp states evaluated (``sum 2^|C|`` over DP-solved
     #: components) — the work the condensation did *not* have to do is
@@ -77,133 +74,73 @@ class DecomposedResult:
         return max((len(c) for c in self.components), default=0)
 
 
-def _strongly_connected(adjacency: list[list[int]]) -> list[list[int]]:
-    """Tarjan's SCC algorithm, iterative (no recursion-depth ceiling).
-
-    The recursive algorithm's post-call low-link update is modeled with an
-    explicit work stack of ``(vertex, next-neighbor-index)`` frames: a
-    frame is re-examined after each child completes, folding the child's
-    low link in. Components come out in reverse condensation-topological
-    order; callers wanting a canonical forward order should use
-    :func:`_condensation_order` rather than relying on that.
-    """
-    n = len(adjacency)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    components: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            vertex, edge_pos = work.pop()
-            if edge_pos == 0:
-                index[vertex] = low[vertex] = counter
-                counter += 1
-                stack.append(vertex)
-                on_stack[vertex] = True
-            advanced = False
-            neighbors = adjacency[vertex]
-            while edge_pos < len(neighbors):
-                successor = neighbors[edge_pos]
-                edge_pos += 1
-                if index[successor] == -1:
-                    work.append((vertex, edge_pos))
-                    work.append((successor, 0))
-                    advanced = True
-                    break
-                if on_stack[successor]:
-                    low[vertex] = min(low[vertex], index[successor])
-            if advanced:
-                continue
-            if low[vertex] == index[vertex]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack[member] = False
-                    component.append(member)
-                    if member == vertex:
-                        break
-                components.append(component)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[vertex])
-    return components
-
-
-def _condensation_order(
-    components: list[list[int]], adjacency: list[list[int]]
+def dominance_components(
+    ahead: npt.NDArray[np.int64],
 ) -> list[list[int]]:
-    """Topologically sort the condensation, ties broken canonically.
+    """SCCs of the dominance digraph, condensation-topological order.
 
-    Kahn's algorithm over the component DAG with a min-heap keyed by each
-    component's smallest member vertex (vertices are canonical codec
-    slots), so among simultaneously available components the one holding
-    the canonically first item is emitted first — the decomposed ranking
-    is a deterministic function of the cost matrix alone.
+    ``ahead`` is a :func:`~repro.aggregate.kemeny.pair_cost_array` count
+    matrix; the digraph has an edge ``i → j`` iff ``ahead[i, j] <
+    ahead[j, i]`` (equal counts produce no edge — either relative order
+    is then pairwise optimal). The condensation is sorted by Kahn's
+    algorithm with a min-heap keyed by each component's smallest member
+    (vertices are canonical codec slots), so among simultaneously
+    available components the one holding the canonically first item comes
+    first — the order is a function of the count matrix alone. Each
+    returned component lists its vertices ascending.
     """
-    component_of = [0] * len(adjacency)
-    for label, component in enumerate(components):
-        for vertex in component:
-            component_of[vertex] = label
-    indegree = [0] * len(components)
-    successors: list[set[int]] = [set() for _ in components]
-    for vertex, neighbors in enumerate(adjacency):
-        for successor in neighbors:
-            a, b = component_of[vertex], component_of[successor]
-            if a != b and b not in successors[a]:
-                successors[a].add(b)
-                indegree[b] += 1
-    keys = [min(component) for component in components]
-    ready = [(keys[label], label) for label in range(len(components)) if indegree[label] == 0]
+    # imported here: csgraph costs ~0.3 s and ~33 MB on first import,
+    # which `import repro.serve` should not pay
+    from scipy.sparse.csgraph import connected_components
+
+    dominates = ahead < ahead.T
+    count, labels = connected_components(dominates, directed=True, connection="strong")
+    members: list[list[int]] = [[] for _ in range(count)]
+    for vertex, label in enumerate(labels.tolist()):
+        members[label].append(vertex)
+    # the condensation's edges, grouped by tail: successors of component c
+    # are successors[starts[c] : starts[c + 1]]
+    sources, targets = np.nonzero(dominates)
+    between = np.zeros((count, count), dtype=bool)
+    between[labels[sources], labels[targets]] = True
+    np.fill_diagonal(between, False)
+    tails, heads = np.nonzero(between)
+    starts = np.searchsorted(tails, np.arange(count + 1)).tolist()
+    successors = heads.tolist()
+    indegree = np.bincount(heads, minlength=count).tolist()
+    ready = [(members[label][0], label) for label in range(count) if indegree[label] == 0]
     heapq.heapify(ready)
     ordered: list[list[int]] = []
     while ready:
         _, label = heapq.heappop(ready)
-        ordered.append(sorted(components[label]))
-        for successor in sorted(successors[label]):
+        ordered.append(members[label])
+        for successor in successors[starts[label] : starts[label + 1]]:
             indegree[successor] -= 1
             if indegree[successor] == 0:
-                heapq.heappush(ready, (keys[successor], successor))
+                heapq.heappush(ready, (members[successor][0], successor))
     return ordered
 
 
-def dominance_components(
-    cost: npt.NDArray[np.float64],
-) -> list[list[int]]:
-    """SCCs of the dominance digraph, condensation-topological order.
-
-    ``cost`` is a :func:`~repro.aggregate.kemeny.pair_cost_array` matrix;
-    the digraph has an edge ``i → j`` iff ``cost[i, j] < cost[j, i]``
-    (cost ties produce no edge — either relative order is then pairwise
-    optimal). Each returned component lists its vertices ascending.
-    """
-    dominates = cost < cost.T
-    adjacency = [np.flatnonzero(row).tolist() for row in dominates]
-    return _condensation_order(_strongly_connected(adjacency), adjacency)
-
-
-def _borda_local_search(sub: npt.NDArray[np.float64]) -> list[int]:
+def _borda_local_search(sub: npt.NDArray[np.int64]) -> list[int]:
     """Heuristic order for one oversized component (indices into ``sub``).
 
-    Seeded by the generalized Borda order under the pair costs — ascending
-    row sum, i.e. ascending total cost of placing the item ahead of the
-    rest of the component — then improved by adjacent-swap passes (swap
-    whenever the swapped order is strictly cheaper) to a local optimum,
-    the local-Kemenization move of Dwork et al. [8]. Deterministic: the
-    seed breaks ties by index and each pass scans left to right.
+    Seeded by the generalized Borda order under the disagreement counts —
+    ascending row sum, i.e. ascending number of inputs that rank the rest
+    of the component ahead of the item — then improved by adjacent-swap
+    passes (swap whenever the swapped order is strictly cheaper) to a
+    local optimum, the local-Kemenization move of Dwork et al. [8].
+    Deterministic: the seed breaks ties by index and each pass scans left
+    to right.
     """
     size = sub.shape[0]
-    row_totals = sub.sum(axis=1)
+    row_totals = sub.sum(axis=1).tolist()
+    counts = sub.tolist()
     order = sorted(range(size), key=lambda i: (row_totals[i], i))
     for _ in range(size):
         changed = False
         for i in range(size - 1):
             ahead, behind = order[i], order[i + 1]
-            if sub[behind, ahead] < sub[ahead, behind]:
+            if counts[behind][ahead] < counts[ahead][behind]:
                 order[i], order[i + 1] = behind, ahead
                 changed = True
         if not changed:
@@ -215,14 +152,13 @@ def kemeny_decomposed(
     rankings: Sequence[PartialRanking],
     p: float = 0.5,
     *,
-    scheme: ScoringScheme | None = None,
     jobs: int | None = None,
     max_exact: int = _MAX_EXACT,
     require_exact: bool = False,
 ) -> DecomposedResult:
     """Solve the ``K^(p)`` aggregation by SCC divide-and-conquer.
 
-    Builds the pair-cost matrix once, condenses the dominance digraph,
+    Builds the pair-count matrix once, condenses the dominance digraph,
     and solves each strongly-connected component independently on a slice
     of that one matrix: the exact Held–Karp DP up to ``max_exact`` items,
     a Borda-seeded local search above it. ``require_exact=True`` raises
@@ -233,13 +169,16 @@ def kemeny_decomposed(
     globally optimal whenever every component is solved exactly — see the
     soundness statement in docs/THEORY.md. ``max_exact`` must be an
     ``int`` ≥ 1 (not a bool), as for :func:`~repro.aggregate.minmax.aggregate`;
-    anything else raises :class:`AggregationError`.
+    anything else raises :class:`AggregationError`, as does ``p`` outside
+    [0, 1]. The solve never sees ``p``: the objective is the integer
+    optimum plus ``p·T``.
     """
     validate_max_exact(max_exact)
-    items, cost = pair_cost_array(rankings, p, scheme=scheme, jobs=jobs)
+    validate_penalty(p)
+    items, ahead, ties = pair_cost_array(rankings, jobs=jobs)
     n = len(items)
     with obs.trace("aggregate.kemeny.decompose", n=n):
-        components = dominance_components(cost)
+        components = dominance_components(ahead)
         largest = max(len(component) for component in components)
         obs.add("kemeny.scc.components", len(components))
         obs.add("kemeny.scc.largest", largest)
@@ -254,7 +193,7 @@ def kemeny_decomposed(
                 sequence.extend(component)
                 continue
             idx = np.asarray(component)
-            sub = cost[np.ix_(idx, idx)]
+            sub = ahead[np.ix_(idx, idx)]
             if size <= max_exact:
                 dp_states += 1 << size
                 local, _ = _held_karp(sub, size)
@@ -273,17 +212,17 @@ def kemeny_decomposed(
             obs.add("kemeny.dp_states", dp_states)
 
         seq = np.asarray(sequence)
-        placed = cost[np.ix_(seq, seq)]
+        placed = ahead[np.ix_(seq, seq)]
         upper_i, upper_j = np.triu_indices(n, k=1)
-        objective = float(placed[upper_i, upper_j].sum())
+        disagreements = int(placed[upper_i, upper_j].sum())
         ranking = PartialRanking.from_sequence([items[x] for x in sequence])
         return DecomposedResult(
             ranking=ranking,
-            objective=objective,
+            objective=float(disagreements) + p * ties,
             exact=exact,
             components=tuple(
                 tuple(items[x] for x in component) for component in components
             ),
-            lower_bound=_lower_bound_from_cost(cost),
+            lower_bound=float(_pairwise_minimum(ahead)) + p * ties,
             dp_states=dp_states,
         )

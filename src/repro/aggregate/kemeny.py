@@ -1,4 +1,4 @@
-"""The pair-cost kernel and DP behind exact Kemeny-style aggregation.
+"""The pair-count kernel and DP behind exact Kemeny-style aggregation.
 
 The Kendall aggregation problem — find the full ranking minimizing
 ``sum_i K^(p)(out, sigma_i)`` — is NP-hard in general, and the paper's
@@ -9,22 +9,25 @@ algorithm:
 
 the objective is **pairwise decomposable** — placing ``x`` before ``y``
 costs ``sum_i [1 if sigma_i ranks y strictly ahead, p if it ties them]``
-independently of everything else — so the optimal ranking over each item
-subset ``S`` (as a prefix) satisfies the Held–Karp recurrence
+independently of everything else. A full-ranking output pays the tie
+charge ``p`` whichever way it orders a tied pair, so the optimal rankings
+depend only on the integer disagreement counts ``D[x, y]`` (inputs
+placing ``y`` strictly ahead of ``x``) and ``p`` only adds ``p·T``, with
+``T`` the number of (input, pair) ties (docs/THEORY.md, "Kemeny
+p-invariance"). The optimal ranking over each item subset ``S`` (as a
+prefix) satisfies the Held–Karp recurrence
 
-    ``dp[S ∪ {x}] = dp[S] + sum_{y ∉ S ∪ {x}} cost(x before y)``
+    ``dp[S ∪ {x}] = dp[S] + sum_{y ∉ S ∪ {x}} D[x, y]``
 
 giving an exact O(2^n · n) algorithm after the per-state appendix costs
-are batched into one ``(2^n, n)`` GEMM (see :func:`_held_karp`).
+are batched into one ``(2^n, n)`` matrix product (see :func:`_held_karp`).
 
 The solver is :func:`repro.aggregate.decompose.kemeny_decomposed`, which
 runs the DP per strongly-connected component of the pairwise-dominance
 digraph; :mod:`repro.aggregate.tournament` reads its Condorcet structure
 off the same matrix. The matrix also yields the standard lower bound
-``sum_{pairs} min(cost(x<y), cost(y<x))``, used to sanity-check
+``sum_{pairs} min(D[x, y], D[y, x]) + p·T``, used to sanity-check
 optimality and to bound ratios on instances too large to solve exactly.
-Penalties beyond the scalar ``p`` plug in through
-:class:`~repro.aggregate.scoring.ScoringScheme`.
 """
 
 from __future__ import annotations
@@ -35,8 +38,7 @@ import numpy as np
 import numpy.typing as npt
 
 from repro import obs
-from repro.aggregate.objective import validate_profile
-from repro.aggregate.scoring import ScoringScheme, resolve_scheme
+from repro.aggregate.objective import validate_penalty, validate_profile
 from repro.core.codec import DomainCodec
 from repro.core.partial_ranking import Item, PartialRanking
 from repro.metrics.batch import bucket_index_matrix, sign_tensor
@@ -54,7 +56,7 @@ _CHUNK_BUDGET = 1 << 23
 
 def _pair_order_chunk(
     bucket_rows: npt.NDArray[np.int64],
-) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.int64]]:
+) -> tuple[npt.NDArray[np.int64], int]:
     """Pool worker: exact pair-order counts for a chunk of rankings.
 
     Shares the :func:`repro.metrics.batch.sign_tensor` encoding with the
@@ -63,49 +65,42 @@ def _pair_order_chunk(
 
         ``ahead = (sum S + sum |S|) / 2``   (count of rankings with the
         column's second item strictly ahead — sign +1),
-        ``tied  = c − sum |S|``.
 
-    Both are exact small integers in float64 and are returned as int64
-    ``(n, n)`` matrices, so the combination step is integer arithmetic.
+    and the strictly ordered (ranking, ordered pair) cells ``sum |S|``
+    leave ``(c·n·(n−1) − sum |S|) / 2`` tied (ranking, pair) cells. Both
+    are exact small integers in float64 and are returned as int64.
     """
     count, n = bucket_rows.shape
     tensor = sign_tensor(bucket_rows)
     sign_sum = tensor.sum(axis=0)
     strict_sum = np.abs(tensor).sum(axis=0)
     ahead = np.rint((sign_sum + strict_sum) / 2.0).astype(np.int64).reshape(n, n)
-    tied = count - np.rint(strict_sum).astype(np.int64).reshape(n, n)
-    return ahead, tied
+    ties = (count * n * (n - 1) - int(np.rint(strict_sum.sum()))) // 2
+    return ahead, ties
 
 
 def pair_cost_array(
     rankings: Sequence[PartialRanking],
-    p: float = 0.5,
     *,
-    scheme: ScoringScheme | None = None,
     jobs: int | None = None,
-) -> tuple[list[Item], npt.NDArray[np.float64]]:
-    """Build the pairwise placement-cost matrix as an ``(n, n)`` ndarray.
+) -> tuple[list[Item], npt.NDArray[np.int64], int]:
+    """The integer pair counts every Kemeny solver runs on.
 
-    Returns ``(items, cost)`` where ``cost[i, j]`` is the total penalty
-    across the inputs for ranking ``items[i]`` strictly before
-    ``items[j]``: ``scheme.disagree`` per input that strictly disagrees,
-    ``scheme.agree`` per input that strictly agrees, ``scheme.tie`` per
-    input that ties the pair. Under the default Kendall scheme
-    ``cost[i, j] + cost[j, i]`` is constant per pair (the pair's
-    unavoidable-versus-chosen split).
+    Returns ``(items, ahead, ties)``: ``ahead[i, j]`` is the number of
+    inputs ranking ``items[j]`` strictly ahead of ``items[i]`` (so the
+    cost of placing ``items[i]`` before ``items[j]``, diagonal 0), and
+    ``ties`` the number of (input, pair) ties. Against the profile, a
+    full ranking's ``K^(p)`` objective is the sum of ``ahead`` over its
+    ordered pairs plus ``p · ties``.
 
-    The workers accumulate *integer* strictly-ahead / tied counts via the
-    shared :func:`repro.metrics.batch.sign_tensor` path, and each entry is
-    computed once from those counts — so the matrix is bit-for-bit
-    identical for every job count and every ``p`` (dyadic or not), and
-    exactly equals the historical per-ranking accumulation for dyadic
-    ``p`` (including the default ``p = 1/2``). ``jobs`` spreads the
+    The workers accumulate the counts via the shared
+    :func:`repro.metrics.batch.sign_tensor` path in integer arithmetic,
+    so the result is identical for every job count. ``jobs`` spreads the
     construction over a process pool (see :mod:`repro.parallel`).
 
     This is the one cost kernel every consumer uses (the DP, the lower
     bound, the SCC decomposition, the tournament diagnostics).
     """
-    resolved = resolve_scheme(p, scheme)
     validate_profile(rankings)
     codec = DomainCodec.for_profile(rankings)
     items = list(codec.items)  # canonical key order, as before
@@ -120,77 +115,59 @@ def pair_cost_array(
         chunks = [bucket_rows[a : a + per_chunk] for a in range(0, m, per_chunk)]
         obs.set_attr("chunks", len(chunks))
         ahead = np.zeros((n, n), dtype=np.int64)
-        tied = np.zeros((n, n), dtype=np.int64)
-        for chunk_ahead, chunk_tied in parallel_map(_pair_order_chunk, chunks, jobs=jobs):
+        ties = 0
+        for chunk_ahead, chunk_ties in parallel_map(_pair_order_chunk, chunks, jobs=jobs):
             ahead += chunk_ahead
-            tied += chunk_tied
-        if resolved.is_kendall:
-            # byte-for-byte the historical scalar-p expression
-            cost = ahead + resolved.tie * tied
-        else:
-            cost = (
-                resolved.disagree * ahead
-                + resolved.agree * ahead.T
-                + resolved.tie * tied
-            )
-        np.fill_diagonal(cost, 0.0)
-        return items, cost
+            ties += chunk_ties
+        return items, ahead, ties
 
 
-def _lower_bound_from_cost(cost: npt.NDArray[np.float64]) -> float:
-    """``sum_{pairs} min(cost[x, y], cost[y, x])`` over the upper triangle."""
-    i_upper, j_upper = np.triu_indices(cost.shape[0], k=1)
-    return float(np.minimum(cost, cost.T)[i_upper, j_upper].sum())
+def _pairwise_minimum(ahead: npt.NDArray[np.int64]) -> int:
+    """``sum_{pairs} min(ahead[x, y], ahead[y, x])`` over the upper triangle."""
+    i_upper, j_upper = np.triu_indices(ahead.shape[0], k=1)
+    return int(np.minimum(ahead, ahead.T)[i_upper, j_upper].sum())
 
 
 def kemeny_lower_bound(
     rankings: Sequence[PartialRanking],
     p: float = 0.5,
     *,
-    scheme: ScoringScheme | None = None,
     jobs: int | None = None,
 ) -> float:
-    """``sum_{pairs} min(cost(x<y), cost(y<x))`` — a lower bound on the
+    """``sum_{pairs} min(D[x, y], D[y, x]) + p·T`` — a lower bound on the
     optimal full-ranking ``K^(p)`` aggregation objective.
 
-    Tight whenever the pairwise-majority tournament is acyclic. Summation
-    is exact: costs are half-integer multiples of ``p``'s resolution, and
-    for dyadic ``p`` every partial sum is exactly representable.
+    Tight whenever the pairwise-majority tournament is acyclic. The sum is
+    an exact integer; ``p`` enters only through the final ``p·T``.
     """
-    _, cost = pair_cost_array(rankings, p, scheme=scheme, jobs=jobs)
-    return _lower_bound_from_cost(cost)
+    validate_penalty(p)
+    _, ahead, ties = pair_cost_array(rankings, jobs=jobs)
+    return float(_pairwise_minimum(ahead)) + p * ties
 
 
-def _held_karp(
-    cost: npt.NDArray[np.float64], n: int
-) -> tuple[list[int], float]:
-    """Optimal item order (as matrix indices) plus its objective value.
+def _held_karp(ahead: npt.NDArray[np.int64], n: int) -> tuple[list[int], int]:
+    """Optimal item order (as matrix indices) plus its disagreement count.
 
-    The per-state appendix costs are batched: ``S = bits @ cost.T`` gives
-    ``S[mask, x] = sum_{y in mask} cost[x, y]`` for every state in one
-    GEMM, so appending ``x`` to the prefix ``mask`` adds
+    The per-state appendix costs are batched: ``S = bits @ ahead.T`` gives
+    ``S[mask, x] = sum_{y in mask} ahead[x, y]`` for every state in one
+    matrix product, so appending ``x`` to the prefix ``mask`` adds
     ``row_total[x] − S[mask, x]`` (everything still unplaced) — an O(1)
-    lookup instead of the former O(n) Python generator sum, taking the DP
-    from O(2^n · n²) interpreted work to O(2^n · n) plus one GEMM.
-    Bit-identical to the scalar accumulation for dyadic penalties (all
-    partial sums exact in float64); for non-dyadic schemes agreement is
-    within one ulp per state. Transition ties keep the historical
-    resolution (first-improving ``x`` in ascending index order wins).
+    lookup instead of an O(n) sum, taking the DP from O(2^n · n²)
+    interpreted work to O(2^n · n). Every value is an exact integer (at
+    most ``m·n²``), so the product runs in int64 and the DP on Python
+    ints. Transition ties resolve canonically: masks ascending, ``x``
+    ascending, and only a strict improvement replaces the incumbent.
     """
     full = 1 << n
-    bits = ((np.arange(full, dtype=np.uint32)[:, None] >> np.arange(n)) & 1).astype(
-        np.float64
-    )
-    # added[mask, x] = cost of ranking x ahead of everything outside mask
-    added = cost.sum(axis=1)[None, :] - bits @ cost.T
-    infinity = float("inf")
-    dp = [infinity] * full
+    bits = (np.arange(full)[:, None] >> np.arange(n)) & 1
+    # added[mask][x] = count of ranking x ahead of everything outside mask
+    added = (ahead.sum(axis=1)[None, :] - bits @ ahead.T).tolist()
+    unreached = int(ahead.sum()) + 1
+    dp = [unreached] * full
     parent = [-1] * full
-    dp[0] = 0.0
+    dp[0] = 0
     for mask in range(full):
         base = dp[mask]
-        if base == infinity:
-            continue
         added_row = added[mask]
         for x in range(n):
             if mask & (1 << x):
@@ -210,4 +187,4 @@ def _held_karp(
         order.append(x)
         mask ^= 1 << x
     order.reverse()
-    return order, float(dp[full - 1])
+    return order, dp[full - 1]

@@ -28,6 +28,7 @@ __all__ = [  # repro: noqa[RP011] — objective evaluation sums over instrumente
     "total_l1_to_function",
     "validate_profile",
     "validate_max_exact",
+    "validate_penalty",
     "resolve_metric",
 ]
 
@@ -82,6 +83,12 @@ def validate_max_exact(max_exact: object) -> None:
         )
     if max_exact < 1:
         raise AggregationError(f"max_exact={max_exact} must be at least 1")
+
+
+def validate_penalty(p: float) -> None:
+    """Raise :class:`AggregationError` unless the tie penalty ``p`` is in [0, 1]."""
+    if not 0.0 <= p <= 1.0:
+        raise AggregationError(f"penalty parameter p={p} outside [0, 1]")
 
 
 def total_distance(

@@ -14,9 +14,10 @@ the opposite. Classical facts, all executable here:
   are rare on random bucket-order profiles, which this module lets callers
   check per instance before paying for the exponential solver.
 
-The tournament is the dominance digraph ``cost < cost.T`` of
+The tournament is the dominance digraph ``ahead < ahead.T`` of
 :mod:`repro.aggregate.decompose`: it is acyclic exactly when every
-strongly-connected component is a single item.
+strongly-connected component is a single item. It is read off the integer
+disagreement counts, so it does not depend on the tie penalty ``p``.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ import numpy as np
 
 from repro.aggregate.decompose import dominance_components, kemeny_decomposed
 from repro.aggregate.kemeny import pair_cost_array
-from repro.aggregate.objective import validate_profile
-from repro.aggregate.scoring import resolve_scheme
+from repro.aggregate.objective import validate_penalty, validate_profile
 from repro.core.partial_ranking import Item, PartialRanking
 from repro.errors import AggregationError
 
@@ -39,26 +39,20 @@ __all__ = [  # repro: noqa[RP011] — Condorcet structure diagnostics, not a hot
 ]
 
 
-def is_condorcet_consistent(
-    rankings: Sequence[PartialRanking],
-    p: float = 0.5,
-) -> bool:
+def is_condorcet_consistent(rankings: Sequence[PartialRanking]) -> bool:
     """True if the majority digraph is acyclic.
 
     Acyclic instances are *easy*: the pairwise lower bound is attainable
     and :func:`topological_aggregation` is exactly optimal.
     """
-    _, cost = pair_cost_array(rankings, p)
-    return all(len(component) == 1 for component in dominance_components(cost))
+    _, ahead, _ = pair_cost_array(rankings)
+    return all(len(component) == 1 for component in dominance_components(ahead))
 
 
-def condorcet_winner(
-    rankings: Sequence[PartialRanking],
-    p: float = 0.5,
-) -> Item | None:
+def condorcet_winner(rankings: Sequence[PartialRanking]) -> Item | None:
     """The item strictly beating every other item, if one exists."""
-    items, cost = pair_cost_array(rankings, p)
-    beats = cost < cost.T
+    items, ahead, _ = pair_cost_array(rankings)
+    beats = ahead < ahead.T
     np.fill_diagonal(beats, True)
     winners = np.flatnonzero(beats.all(axis=1))
     return items[int(winners[0])] if winners.size else None
@@ -78,7 +72,7 @@ def topological_aggregation(
     ``kemeny_decomposed`` (or median aggregation) there.
     """
     # validate up front so the only refusal left below is the cycle
-    resolve_scheme(p, None)
+    validate_penalty(p)
     validate_profile(rankings)
     try:
         result = kemeny_decomposed(rankings, p, max_exact=1, require_exact=True)

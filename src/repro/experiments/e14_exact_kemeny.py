@@ -20,7 +20,6 @@ from collections import Counter
 
 from repro.aggregate.baselines import best_input, borda
 from repro.aggregate.decompose import kemeny_decomposed
-from repro.aggregate.kemeny import kemeny_lower_bound
 from repro.aggregate.median import median_full_ranking
 from repro.aggregate.objective import total_distance
 from repro.experiments.runner import Table, register
@@ -49,8 +48,9 @@ def run(
         for _ in range(trials):
             rankings = [random_bucket_order(n, rng, tie_bias=0.5) for _ in range(m)]
             start = time.perf_counter()
-            optimum = kemeny_decomposed(rankings, require_exact=True).objective
+            exact = kemeny_decomposed(rankings, require_exact=True)
             exact_seconds += time.perf_counter() - start
+            optimum = exact.objective
             if optimum == 0:
                 continue
             median_ratios.append(
@@ -64,7 +64,7 @@ def run(
                 total_distance(best_input(rankings, "k_prof"), rankings, "k_prof")
                 / optimum
             )
-            bound_gaps.append(optimum / max(kemeny_lower_bound(rankings), 1e-12))
+            bound_gaps.append(optimum / max(exact.lower_bound, 1e-12))
         rows.append(
             {
                 "n": n,

@@ -12,7 +12,8 @@ bit:
   public ``median_*`` functions compute the same values from one
   ``(m, n)`` position matrix (:mod:`repro.aggregate.batch`);
 * the **Python Held–Karp DP** — the per-state generator-sum recurrence
-  that :func:`repro.aggregate.kemeny._held_karp` batches into one GEMM;
+  that :func:`repro.aggregate.kemeny._held_karp` batches into one matrix
+  product;
 * the **monolithic Kemeny solver** — one Held–Karp DP over the whole
   instance, the SCC-soundness reference for
   :func:`repro.aggregate.decompose.kemeny_decomposed`;
@@ -39,7 +40,7 @@ from repro.aggregate.median import (
     _median_of_checked,
     _validated_weights,
 )
-from repro.aggregate.objective import resolve_metric, validate_profile
+from repro.aggregate.objective import resolve_metric, validate_penalty, validate_profile
 from repro.core.partial_ranking import Item, PartialRanking
 from repro.errors import AggregationError
 
@@ -134,20 +135,20 @@ def median_fixed_type_dict(
 
 
 def held_karp_python(
-    cost: npt.NDArray[np.float64], n: int
-) -> tuple[list[int], float]:
+    ahead: npt.NDArray[np.int64], n: int
+) -> tuple[list[int], int]:
     """The Held–Karp DP with a per-state Python generator sum.
 
     The differential twin of :func:`repro.aggregate.kemeny._held_karp`:
     the tests and ``benchmarks/bench_kemeny.py`` assert the two agree
-    bit for bit, and the benchmark measures the GEMM path's speedup.
+    exactly, and the benchmark measures the batched path's speedup.
     """
-    rows = cost.tolist()
+    rows = ahead.tolist()
     full = 1 << n
     infinity = float("inf")
-    dp = [infinity] * full
+    dp: list[float] = [infinity] * full
     parent = [-1] * full
-    dp[0] = 0.0
+    dp[0] = 0
     for mask in range(full):
         base = dp[mask]
         if base == infinity:
@@ -168,7 +169,7 @@ def held_karp_python(
         order.append(x)
         mask ^= 1 << x
     order.reverse()
-    return order, dp[full - 1]
+    return order, int(dp[full - 1])
 
 
 def kemeny_monolithic(
@@ -176,15 +177,17 @@ def kemeny_monolithic(
 ) -> tuple[PartialRanking, float]:
     """Exact ``K^(p)`` aggregation by one Held–Karp DP over all n ≤ 16
     items, without the SCC condensation whose soundness it checks."""
-    items, cost = pair_cost_array(rankings, p)
+    validate_penalty(p)
+    items, ahead, ties = pair_cost_array(rankings)
     n = len(items)
     if n > _MAX_EXACT:
         raise AggregationError(
             f"exact Kemeny refused for n={n} > {_MAX_EXACT}; "
             "use median aggregation for large domains"
         )
-    order, objective = _held_karp(cost, n)
-    return PartialRanking.from_sequence([items[x] for x in order]), objective
+    order, disagreements = _held_karp(ahead, n)
+    ranking = PartialRanking.from_sequence([items[x] for x in order])
+    return ranking, float(disagreements) + p * ties
 
 
 def _scores(

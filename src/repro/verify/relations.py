@@ -19,7 +19,8 @@ The catalog (see :func:`relations`):
 * the Proposition 13 triangle / near-triangle inequalities;
 * monotonicity of ``K^(p)`` in the penalty parameter;
 * soundness of the SCC-condensed exact Kemeny decomposition (the
-  divide-and-conquer optimum equals the monolithic Held–Karp optimum).
+  divide-and-conquer optimum equals the monolithic Held–Karp optimum),
+  and its independence of the tie penalty ``p``.
 
 Exact (``!=``) comparisons below are deliberate: every quantity involved
 is a half- or quarter-integer, exactly representable in float64, and the
@@ -327,9 +328,18 @@ def _check_tiled_gemm_agreement(rankings: Rankings) -> str | None:
     return None
 
 
-#: Domain cap for the decomposition relation: every component DP is at
-#: most 2^10 states, so the check stays cheap on every fuzzed profile.
+#: Domain cap for the Kemeny relations: every component DP is at most
+#: 2^10 states, so the checks stay cheap on every fuzzed profile.
 _DECOMPOSE_MAX_ITEMS = 10
+
+
+def _kemeny_sized(rankings: Rankings) -> Rankings:
+    """The profile restricted to its first :data:`_DECOMPOSE_MAX_ITEMS` items."""
+    domain = sorted(rankings[0].domain, key=repr)
+    if len(domain) <= _DECOMPOSE_MAX_ITEMS:
+        return rankings
+    keep = domain[:_DECOMPOSE_MAX_ITEMS]
+    return tuple(sigma.restricted_to(keep) for sigma in rankings)
 
 
 def _check_scc_decomposition(rankings: Rankings) -> str | None:
@@ -341,15 +351,12 @@ def _check_scc_decomposition(rankings: Rankings) -> str | None:
       places them in an order where every cross-component pair sits at
       its pairwise-minimum cost (the soundness precondition);
     * the decomposed objective equals the monolithic Held–Karp optimum
-      *exactly* (both are sums of the same half-integer pair costs), and
+      *exactly* (both are an integer optimum plus ``p·T``), and
       independently re-evaluating the returned ranking against the
       profile reproduces it;
     * the reported lower bound never exceeds the optimum.
     """
-    domain = sorted(rankings[0].domain, key=repr)
-    if len(domain) > _DECOMPOSE_MAX_ITEMS:
-        keep = domain[:_DECOMPOSE_MAX_ITEMS]
-        rankings = tuple(sigma.restricted_to(keep) for sigma in rankings)
+    rankings = _kemeny_sized(rankings)
     result = kemeny_decomposed(rankings, require_exact=True)
     if not result.exact:
         return "require_exact=True returned a result with exact=False"
@@ -370,14 +377,14 @@ def _check_scc_decomposition(rankings: Rankings) -> str | None:
         covered
     ) != len(set(covered)):
         return "SCC components do not partition the domain"
-    items, cost = pair_cost_array(rankings)
+    items, ahead, _ = pair_cost_array(rankings)
     slot = {item: i for i, item in enumerate(items)}
     for a, earlier in enumerate(result.components):
         for later in result.components[a + 1 :]:
             for x in earlier:
                 for y in later:
-                    forward = cost[slot[x], slot[y]]
-                    backward = cost[slot[y], slot[x]]
+                    forward = ahead[slot[x], slot[y]]
+                    backward = ahead[slot[y], slot[x]]
                     if forward > backward:
                         return (
                             f"components misordered: placing {x!r} before "
@@ -388,6 +395,48 @@ def _check_scc_decomposition(rankings: Rankings) -> str | None:
             f"pairwise lower bound {result.lower_bound} exceeds the "
             f"optimum {result.objective}"
         )
+    return None
+
+
+#: Tie penalties whose multiples are exact in float64, plus one that is
+#: not: there a float solve could break a tie among optima by rounding.
+_DYADIC_PENALTIES = (0.5, 1.0)
+_NON_DYADIC_PENALTY = 0.1
+
+
+def _check_kemeny_p_invariance(rankings: Rankings) -> str | None:
+    """The decomposed solve does not depend on the tie penalty ``p``.
+
+    On the (self-restricted) instance, against the solve at ``p = 0``,
+    for ``p`` in {0.1, 1/2, 1}:
+
+    * the ranking and the components are identical;
+    * the objective equals ``objective(0) + p·T`` exactly, ``T`` being
+      the number of (input, pair) ties;
+    * at dyadic ``p`` the objective equals the monolithic Held–Karp
+      optimum bit for bit.
+    """
+    rankings = _kemeny_sized(rankings)
+    _, _, ties = pair_cost_array(rankings)
+    base = kemeny_decomposed(rankings, 0.0)
+    for p in (_NON_DYADIC_PENALTY, *_DYADIC_PENALTIES):
+        result = kemeny_decomposed(rankings, p)
+        if result.ranking != base.ranking:
+            return f"ranking at p={p} {result.ranking!r} != at p=0 {base.ranking!r}"
+        if result.components != base.components:
+            return f"components at p={p} differ from those at p=0"
+        if result.objective != base.objective + p * ties:
+            return (
+                f"objective at p={p} is {result.objective}, expected "
+                f"{base.objective} + {p}*{ties}"
+            )
+        if p in _DYADIC_PENALTIES:
+            _, monolithic = kemeny_monolithic(rankings, p)
+            if result.objective != monolithic:
+                return (
+                    f"objective at p={p} is {result.objective}, monolithic "
+                    f"Held-Karp optimum {monolithic}"
+                )
     return None
 
 
@@ -416,6 +465,12 @@ _RELATIONS: tuple[Relation, ...] = (
         0,
         "ParCons condensation: decomposed optimum == monolithic Held-Karp optimum",
         _check_scc_decomposition,
+    ),
+    Relation(
+        "kemeny-p-invariance",
+        0,
+        "Kemeny p-invariance: one integer solve, objective = optimum + p*T",
+        _check_kemeny_p_invariance,
     ),
     Relation(
         "median-weighted-uniform",

@@ -475,13 +475,14 @@ class TestRP009PairwiseLoops:
         assert codes(result) == []
 
     def test_positive_profile_cost_kernel_in_nested_loop(self):
+        # the counts do not depend on p: rebuilding them per penalty is waste
         result = analyze_source(
             "from repro.aggregate.kemeny import pair_cost_array\n"
             "def sweep(profiles, penalties):\n"
             "    out = []\n"
             "    for profile in profiles:\n"
             "        for p in penalties:\n"
-            "            out.append(pair_cost_array(profile, p))\n"
+            "            out.append((p, pair_cost_array(profile)))\n"
             "    return out\n",
             select=["RP009"],
         )

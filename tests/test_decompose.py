@@ -32,6 +32,7 @@ from repro.generators.workloads import (
     banded_profile_workload,
     mallows_profile_workload,
 )
+from repro.metrics.kendall import kendall
 from repro.verify.reference import kemeny_monolithic
 
 
@@ -121,7 +122,7 @@ class TestStructuralFixtures:
     def test_components_follow_condensation_order(self):
         rng = resolve_rng(12)
         rankings = [random_bucket_order(8, rng, tie_bias=0.3) for _ in range(5)]
-        items, cost = pair_cost_array(rankings)
+        items, ahead, _ = pair_cost_array(rankings)
         slot = {item: index for index, item in enumerate(items)}
         result = kemeny_decomposed(rankings)
         for earlier_pos in range(len(result.components)):
@@ -129,14 +130,12 @@ class TestStructuralFixtures:
                 for x in result.components[earlier_pos]:
                     for y in result.components[later_pos]:
                         # no later item may strictly dominate an earlier one
-                        ahead = float(cost[slot[x], slot[y]])
-                        behind = float(cost[slot[y], slot[x]])
-                        assert ahead <= behind
+                        assert ahead[slot[x], slot[y]] <= ahead[slot[y], slot[x]]
 
     def test_dominance_components_on_cycle_matrix(self):
         rankings = _rotation_profile(6)
-        _, cost = pair_cost_array(rankings)
-        components = dominance_components(cost)
+        _, ahead, _ = pair_cost_array(rankings)
+        components = dominance_components(ahead)
         assert len(components) == 1
         assert components[0] == list(range(6))
 
@@ -157,6 +156,17 @@ class TestFallback:
         assert result.dp_states == 0
         reevaluated = total_distance(result.ranking, rankings, "k_prof")
         assert reevaluated == pytest.approx(result.objective)
+
+    def test_heuristic_ranking_is_the_same_at_every_p(self):
+        # the Borda seed and the swaps read integer counts, so an inexact
+        # answer does not move with the tie penalty either
+        rankings = _rotation_profile(8) + [PartialRanking([[3, 4, 5], [0, 1, 2, 6, 7]])]
+        results = [kemeny_decomposed(rankings, p, max_exact=4) for p in (0.0, 0.1, 0.5, 1.0)]
+        assert not any(result.exact for result in results)
+        assert {result.ranking for result in results} == {results[0].ranking}
+        assert results[-1].objective == total_distance(
+            results[-1].ranking, rankings, lambda a, b: kendall(a, b, 1.0)
+        )
 
     def test_heuristic_close_to_exact_on_small_instances(self):
         rng = resolve_rng(3)

@@ -15,12 +15,12 @@ from repro.aggregate.kemeny import (
     kemeny_lower_bound,
     pair_cost_array,
 )
-from repro.aggregate.scoring import ScoringScheme, resolve_scheme
 from repro.aggregate.median import median_full_ranking
 from repro.aggregate.objective import total_distance
 from repro.core.partial_ranking import PartialRanking
 from repro.errors import AggregationError
 from repro.generators.random import random_bucket_order, resolve_rng
+from repro.metrics.kendall import kendall
 from repro.verify.reference import held_karp_python, kemeny_monolithic
 
 
@@ -36,30 +36,37 @@ class TestPairCostMatrix:
             PartialRanking.from_sequence("ab"),
             PartialRanking([["a", "b"]]),
         ]
-        items, cost = pair_cost_array(rankings)
+        items, ahead, ties = pair_cost_array(rankings)
         i, j = items.index("a"), items.index("b")
-        # placing a before b: 0 from the agreeing input, 1/2 from the tie
-        assert cost[i][j] == 0.5
-        # placing b before a: 1 from the strict input, 1/2 from the tie
-        assert cost[j][i] == 1.5
+        # no input ranks b strictly ahead of a; one ranks a ahead of b
+        assert ahead[i][j] == 0
+        assert ahead[j][i] == 1
+        # the second input ties the one pair
+        assert ties == 1
 
     def test_pair_sum_is_constant(self):
         rng = resolve_rng(3)
         rankings = [random_bucket_order(6, rng) for _ in range(5)]
-        items, cost = pair_cost_array(rankings)
+        items, ahead, ties = pair_cost_array(rankings)
         n = len(items)
-        sums = {
-            round(cost[i][j] + cost[j][i], 6)
-            for i in range(n)
-            for j in range(i + 1, n)
-        }
-        # each pair's forward+backward cost counts each input once:
-        # 1 for strict inputs, 2 * (1/2) for tied ones -> always m
-        assert sums == {float(len(rankings))}
+        # every input orders a pair one way or ties it: strict counts in
+        # both directions plus the pair's ties make m, so the strict
+        # shortfall summed over pairs is the tie count
+        upper = np.triu_indices(n, k=1)
+        strict = (ahead + ahead.T)[upper]
+        assert (strict <= len(rankings)).all()
+        assert int((len(rankings) - strict).sum()) == ties
 
     def test_bad_p_rejected(self):
-        with pytest.raises(AggregationError):
-            pair_cost_array([PartialRanking.from_sequence("ab")], p=2.0)
+        # pair_cost_array takes no p; the solvers that use it validate it
+        rankings = [PartialRanking.from_sequence("ab")]
+        for bad in (2.0, -0.5, float("nan"), float("inf")):
+            with pytest.raises(AggregationError, match="outside"):
+                kemeny_decomposed(rankings, bad)
+            with pytest.raises(AggregationError, match="outside"):
+                kemeny_lower_bound(rankings, bad)
+            with pytest.raises(AggregationError, match="outside"):
+                kemeny_monolithic(rankings, bad)
 
 
 class TestKemenyOptimal:
@@ -137,82 +144,80 @@ class TestKemenyOptimal:
         assert kemeny_lower_bound(rankings) == 3.0
 
 
-class TestScoringScheme:
-    def test_kendall_scheme_matches_scalar_p(self):
-        rng = resolve_rng(7)
-        rankings = [random_bucket_order(6, rng, tie_bias=0.4) for _ in range(4)]
-        _, scalar = pair_cost_array(rankings, p=0.25)
-        _, schemed = pair_cost_array(
-            rankings, scheme=ScoringScheme.kendall(0.25)
-        )
-        assert np.array_equal(scalar, schemed)
+#: A profile on which the float-cost solve at p = 0.1 broke a tie among
+#: optima by rounding and returned 5 | 1 | 4 | 3 | 2 | 0, which costs the
+#: same as the p = 1/2 answer.
+_FLOAT_TIE_PROFILE = [
+    [[1], [0], [4], [3], [2], [5]],
+    [[2], [4], [5], [1], [3], [0]],
+    [[5], [4], [3], [1], [2], [0]],
+    [[1, 2], [0], [5], [3, 4]],
+    [[4], [3], [0], [5], [2], [1]],
+    [[0], [2], [1, 5], [3], [4]],
+    [[5], [1, 3], [0, 2, 4]],
+]
 
-    def test_scheme_and_conflicting_p_rejected(self):
-        with pytest.raises(AggregationError):
-            pair_cost_array(
-                [PartialRanking.from_sequence("ab")],
-                p=0.25,
-                scheme=ScoringScheme.kendall(0.75),
-            )
 
-    def test_resolve_scheme_defaults_to_kendall(self):
-        scheme = resolve_scheme(0.25, None)
-        assert scheme == ScoringScheme.kendall(0.25)
-        assert scheme.is_kendall
+class TestPInvariance:
+    """The solve runs on integer counts, so only the objective sees p."""
 
-    def test_invalid_penalties_rejected(self):
-        with pytest.raises(AggregationError):
-            ScoringScheme(disagree=-1.0)
-        with pytest.raises(AggregationError):
-            ScoringScheme(tie=float("nan"))
-        with pytest.raises(AggregationError):
-            ScoringScheme.kendall(2.0)
-
-    def test_non_kendall_scheme_changes_the_matrix(self):
-        # rewarding agreement (agree > 0) charges the *winning* order too
-        rankings = [
-            PartialRanking.from_sequence("ab"),
-            PartialRanking.from_sequence("ab"),
-        ]
-        scheme = ScoringScheme(agree=0.25, disagree=1.0, tie=0.5)
-        items, cost = pair_cost_array(rankings, scheme=scheme)
-        i, j = items.index("a"), items.index("b")
-        assert cost[i, j] == pytest.approx(0.5)  # 2 inputs agree, 0.25 each
-        assert cost[j, i] == pytest.approx(2.0)  # 2 strict disagreements
-
-    def test_optimal_accepts_scheme_passthrough(self):
+    def test_solve_is_identical_at_every_p(self):
         rng = resolve_rng(11)
         rankings = [random_bucket_order(6, rng, tie_bias=0.3) for _ in range(3)]
-        via_p = kemeny_exact(rankings, p=0.25)
-        via_scheme = kemeny_exact(rankings, scheme=ScoringScheme.kendall(0.25))
-        assert via_p == via_scheme
+        _, _, ties = pair_cost_array(rankings)
+        base = kemeny_decomposed(rankings, 0.0, require_exact=True)
+        for p in (0.1, 0.25, 0.3, 0.5, 1.0):
+            result = kemeny_decomposed(rankings, p, require_exact=True)
+            assert result.ranking == base.ranking
+            assert result.components == base.components
+            assert result.objective == base.objective + p * ties
+            assert result.lower_bound == base.lower_bound + p * ties
+            if p in (0.25, 0.5, 1.0):
+                # dyadic p: every float sum is exact, so the value is the
+                # monolithic optimum and the ranking's own K^(p) total
+                assert result.objective == kemeny_monolithic(rankings, p)[1]
+                assert result.objective == total_distance(
+                    result.ranking, rankings, lambda a, b, p=p: kendall(a, b, p)
+                )
+
+    def test_float_tie_profile_answers_as_at_one_half(self):
+        rankings = [PartialRanking(buckets) for buckets in _FLOAT_TIE_PROFILE]
+        at_tenth = kemeny_decomposed(rankings, 0.1, require_exact=True)
+        at_half = kemeny_decomposed(rankings, 0.5, require_exact=True)
+        assert at_tenth.ranking == at_half.ranking
+        assert at_tenth.ranking == PartialRanking.from_sequence([5, 1, 4, 3, 0, 2])
+        _, _, ties = pair_cost_array(rankings)
+        assert at_tenth.objective == (at_half.objective - 0.5 * ties) + 0.1 * ties
 
 
 class TestPairCostArray:
     def test_matches_per_ranking_accumulation(self):
-        """Every entry equals the per-input sum of the definition: 1 when
-        the input ranks the second item strictly ahead, p when it ties
-        the pair."""
+        """``ahead`` counts, per ordered pair, the inputs ranking the second
+        item strictly ahead of the first; ``ties`` counts (input, pair)
+        ties."""
         rng = resolve_rng(5)
         rankings = [random_bucket_order(7, rng, tie_bias=0.3) for _ in range(4)]
-        items, cost = pair_cost_array(rankings, p=0.25)
+        items, ahead, ties = pair_cost_array(rankings)
         assert items == sorted(items, key=lambda item: (type(item).__name__, repr(item)))
+        assert ahead.dtype == np.int64
+        expected_ties = 0
         for i, x in enumerate(items):
             for j, y in enumerate(items):
-                expected = 0.0
-                if i != j:
-                    for sigma in rankings:
-                        if sigma.position(y) < sigma.position(x):
-                            expected += 1.0
-                        elif sigma.position(y) == sigma.position(x):
-                            expected += 0.25
-                assert cost[i, j] == expected
+                expected = 0
+                for sigma in rankings:
+                    if i != j and sigma.position(y) < sigma.position(x):
+                        expected += 1
+                    elif i < j and sigma.position(y) == sigma.position(x):
+                        expected_ties += 1
+                assert ahead[i, j] == expected
+        assert ties == expected_ties
+        assert isinstance(ties, int)
 
     def test_diagonal_is_zero(self):
         rng = resolve_rng(6)
         rankings = [random_bucket_order(5, rng) for _ in range(3)]
-        _, cost = pair_cost_array(rankings)
-        assert not np.diag(cost).any()
+        _, ahead, _ = pair_cost_array(rankings)
+        assert not np.diag(ahead).any()
 
 
 class TestHeldKarpVectorized:
@@ -221,12 +226,11 @@ class TestHeldKarpVectorized:
     def test_bit_identical_to_python_reference(self, seed):
         rng = resolve_rng(seed)
         rankings = [random_bucket_order(8, rng, tie_bias=0.4) for _ in range(4)]
-        _, cost = pair_cost_array(rankings)
-        n = cost.shape[0]
-        vec_order, vec_value = _held_karp(cost, n)
-        ref_order, ref_value = held_karp_python(cost, n)
-        # dyadic penalties make every partial sum exact, so the orders
-        # and objectives must agree bit-for-bit, ties included
+        _, ahead, _ = pair_cost_array(rankings)
+        n = ahead.shape[0]
+        vec_order, vec_value = _held_karp(ahead, n)
+        ref_order, ref_value = held_karp_python(ahead, n)
+        # integer counts: the orders and optima agree exactly, ties included
         assert vec_order == ref_order
         assert vec_value == ref_value
 

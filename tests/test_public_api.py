@@ -51,6 +51,21 @@ class TestImportFootprint:
         )
         assert result.stdout.strip() == "False"
 
+    def test_serving_import_leaves_csgraph_unloaded(self):
+        # dominance_components imports scipy's csgraph on first use: it
+        # costs ~0.3 s and ~33 MB that starting a server need not pay
+        src = Path(repro.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        probe = "import sys, repro.serve; print('scipy.sparse.csgraph' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+        )
+        assert result.stdout.strip() == "False"
+
 
 class TestDoctests:
     @pytest.mark.parametrize(

@@ -37,14 +37,14 @@ def _cycle_profile():
     ]
 
 
-def _majority_edges(rankings, p=0.5):
-    """``{(x, y): (margin, cost)}`` over the strict-dominance digraph."""
-    items, cost = pair_cost_array(rankings, p)
+def _majority_edges(rankings):
+    """``{(x, y): (margin, count)}`` over the strict-dominance digraph."""
+    items, ahead, _ = pair_cost_array(rankings)
     return {
-        (x, y): (cost[j, i] - cost[i, j], cost[i, j])
+        (x, y): (ahead[j, i] - ahead[i, j], ahead[i, j])
         for i, x in enumerate(items)
         for j, y in enumerate(items)
-        if cost[i, j] < cost[j, i]
+        if ahead[i, j] < ahead[j, i]
     }
 
 
