@@ -115,6 +115,23 @@ def _loop_seconds(fn, *args, loops: int, repeats: int) -> float:
     return best
 
 
+def _paired_blocks(first, second, rounds: int) -> tuple[list[float], list[float]]:
+    """Block seconds of two timed thunks over ``rounds`` back-to-back pairs.
+
+    Each round runs one block of each, the order flipping every round, so
+    the two blocks of a pair share whatever else the machine was doing.
+    """
+    first_times: list[float] = []
+    second_times: list[float] = []
+    for index in range(rounds):
+        order = ((first, first_times), (second, second_times))
+        if index % 2:
+            order = order[::-1]
+        for block, times in order:
+            times.append(block())
+    return first_times, second_times
+
+
 def _overhead(public, impl, *args, loops: int, rounds: int) -> dict:
     """Relative disabled-mode overhead of ``public`` over ``impl``.
 
@@ -130,16 +147,12 @@ def _overhead(public, impl, *args, loops: int, rounds: int) -> dict:
     median block times. Negative values are honest noise-floor readings;
     the gate only compares against the budget.
     """
-    public_times = []
-    impl_times = []
-    ratios = []
-    for index in range(rounds):
-        order = ((public, public_times), (impl, impl_times))
-        if index % 2:
-            order = order[::-1]
-        for fn, times in order:
-            times.append(_loop_seconds(fn, *args, loops=loops, repeats=1))
-        ratios.append(public_times[-1] / impl_times[-1])
+    public_times, impl_times = _paired_blocks(
+        lambda: _loop_seconds(public, *args, loops=loops, repeats=1),
+        lambda: _loop_seconds(impl, *args, loops=loops, repeats=1),
+        rounds,
+    )
+    ratios = [pub / imp for pub, imp in zip(public_times, impl_times)]
     return {
         "public_s": round(statistics.median(public_times), 6),
         "impl_s": round(statistics.median(impl_times), 6),
@@ -147,28 +160,34 @@ def _overhead(public, impl, *args, loops: int, rounds: int) -> dict:
     }
 
 
-def _enabled_cost(loops: int, repeats: int) -> dict:
+def _enabled_cost(loops: int, rounds: int) -> dict:
     """Per-call span cost with a live session, on a tiny kernel call.
 
     Uses a 32-item pair count so the span bookkeeping (not the kernel)
     dominates; this bounds the enabled-mode cost per instrumented call.
+    Disabled blocks and blocks under ``obs.capture()`` are paired as in
+    :func:`_overhead`, and the cost is the median of the per-round
+    differences: a minimum over separate blocks of each mode read
+    anywhere from 0 to ~6 µs/call on one machine, below its own noise.
+    ``disabled_s``/``enabled_s`` are the median block times.
     """
     a, b = random_profile_workload(32, 2, seed=3).rankings
 
     def traced():
         pair_counts(a, b)
 
-    baseline = float("inf")
-    enabled = float("inf")
-    for _ in range(repeats):  # interleaved rounds
-        baseline = min(baseline, _loop_seconds(traced, loops=loops, repeats=1))
+    def enabled_block() -> float:
         with obs.capture():
-            enabled = min(enabled, _loop_seconds(traced, loops=loops, repeats=1))
-    per_call_ns = max(0.0, enabled - baseline) / loops * 1e9
+            return _loop_seconds(traced, loops=loops, repeats=1)
+
+    disabled, enabled = _paired_blocks(
+        lambda: _loop_seconds(traced, loops=loops, repeats=1), enabled_block, rounds
+    )
+    differences = [on - off for on, off in zip(enabled, disabled)]
     return {
-        "disabled_s": round(baseline, 6),
-        "enabled_s": round(enabled, 6),
-        "span_cost_ns_per_call": round(per_call_ns),
+        "disabled_s": round(statistics.median(disabled), 6),
+        "enabled_s": round(statistics.median(enabled), 6),
+        "span_cost_ns_per_call": round(statistics.median(differences) / loops * 1e9),
     }
 
 
@@ -212,7 +231,7 @@ def _measurements() -> dict:
             "median_scores_array": f"{_MEDIAN_ITEMS}x{_MEDIAN_RANKINGS}",
         },
         "disabled_overhead": {name: measure() for name, measure in measurers.items()},
-        "enabled_cost": _enabled_cost(loops=2_000, repeats=7),
+        "enabled_cost": _enabled_cost(loops=500, rounds=51),
     }
 
 

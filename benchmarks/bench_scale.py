@@ -1,7 +1,7 @@
 """Million-item memory-layout benchmarks + regression gate (PR 7).
 
-Four headline claims of the shared-memory profile arena layer, measured
-end to end:
+Three headline claims of the memory layout at scale, measured end to
+end:
 
 * **out-of-core MEDRANK at n = 10⁶** — the majority-stopping run over a
   memory-mapped :class:`~repro.db.mmap_lists.SortedListStore` touches a
@@ -10,30 +10,22 @@ end to end:
   the same depth, and books the same obs counters as the in-memory
   :func:`~repro.aggregate.medrank.medrank`;
 * **10⁴-voter pairwise matrix** — the Kendall matrix over ten thousand
-  voters, computed from an arena through the cache-blocked GEMM path
-  (``m·n²`` beyond one tile's budget, so the classifier streams tiles);
+  voters, computed through the cache-blocked GEMM path (``m·n²`` beyond
+  one tile's budget, so the classifier streams tiles);
 * **tiled GEMM bit-for-bit** — beyond one tile's budget, the blocked
   accumulation classifies every pair identically to a single forced
-  tile and to the per-pair kernel;
-* **zero-copy dispatch** — per-pair tasks over the profile, the shape of
-  the chunked pairwise-matrix workers: row-pickling dispatch re-ships
-  every row once per pair it participates in (m-1 times), while
-  ``parallel_map_arena`` ships a ~100-byte handle per task and workers
-  read rows from the one shared mapping. Zero-copy must win by at least
-  :data:`ZERO_COPY_FLOOR`.
+  tile and to the per-pair kernel.
 
 Two modes, via the shared gate CLI in ``conftest.py``:
 
 * ``PYTHONPATH=src python benchmarks/bench_scale.py`` — regenerate
   ``BENCH_SCALE.json`` at the repo root (full sizes);
 * ``PYTHONPATH=src python benchmarks/bench_scale.py --check
-  BENCH_SCALE.json`` — re-measure and fail on any exactness violation or
-  a zero-copy speedup below the floor (speedup shortfalls are re-measured
-  before failing; bit-identity mismatches are never noise).
+  BENCH_SCALE.json`` — re-measure and fail on any exactness violation
+  (out-of-core MEDRANK parity or tiled-GEMM agreement).
 
 ``REPRO_BENCH_SMOKE=1`` shrinks every size so the CI gate stays fast;
-the exactness claims are size-independent, and the smoke floor is
-relaxed because pool startup dominates at small payloads.
+the exactness claims are size-independent.
 """
 
 from __future__ import annotations
@@ -46,7 +38,6 @@ import numpy as np
 
 from repro import obs
 from repro.aggregate.medrank import medrank, medrank_out_of_core
-from repro.core.arena import ProfileArena
 from repro.core.codec import DomainCodec
 from repro.core.partial_ranking import PartialRanking
 from repro.db.mmap_lists import SortedListStore
@@ -59,15 +50,8 @@ from repro.metrics.batch import (
     pairwise_distance_matrix,
 )
 from repro.obs import metrics as obs_metrics
-from repro.parallel import parallel_map, parallel_map_arena
 
 _SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
-
-#: The acceptance floor: zero-copy dispatch must beat row-pickling by at
-#: least this factor. The committed full-size baseline claims 5x; the
-#: smoke floor is lower because at smoke payloads pool startup (paid
-#: equally by both paths) compresses the ratio.
-ZERO_COPY_FLOOR = 2.0 if _SMOKE else 5.0
 
 _MEDRANK_N = 100_000 if _SMOKE else 1_000_000
 _MEDRANK_M = 8
@@ -78,8 +62,6 @@ _VOTERS_M = 2_000 if _SMOKE else 10_000
 _VOTERS_N = 32
 _TILED_M = 24
 _TILED_N = 640
-_DISPATCH_M = 16 if _SMOKE else 24
-_DISPATCH_N = 150_000 if _SMOKE else 400_000
 
 
 def _best_of(fn, *args, repeats=3, **kwargs):
@@ -184,13 +166,10 @@ def _medrank_parity() -> dict:
 
 
 def _voter_matrix() -> dict:
-    """The Kendall matrix over _VOTERS_M voters, arena-backed, auto-tiled."""
+    """The Kendall matrix over _VOTERS_M voters, auto-tiled."""
     profile = random_profile_workload(_VOTERS_N, _VOTERS_M, seed=5).rankings
-    with ProfileArena.from_profile(profile) as arena:
-        seconds, matrix = _best_of(
-            pairwise_distance_matrix, arena, "kendall", repeats=1
-        )
-        _, counters = _captured(pairwise_distance_matrix, arena, "kendall")
+    seconds, matrix = _best_of(pairwise_distance_matrix, profile, "kendall", repeats=1)
+    _, counters = _captured(pairwise_distance_matrix, profile, "kendall")
     budget_cells = _VOTERS_M * _VOTERS_N * _VOTERS_N
     return {
         "m_voters": _VOTERS_M,
@@ -242,79 +221,6 @@ def _tiled_agreement() -> dict:
 
 
 # ----------------------------------------------------------------------
-# Zero-copy vs row-pickling dispatch
-# ----------------------------------------------------------------------
-
-
-def _pair_l1(payload: tuple[np.ndarray, np.ndarray]) -> float:
-    """Pickling path: the task payload carries both position rows."""
-    a, b = payload
-    return float(np.abs(a - b).sum())
-
-
-def _arena_pair_l1(task: tuple[ProfileArena, tuple[int, int]]) -> float:
-    """Zero-copy path: the task payload is two integers; rows come from
-    the worker's shared-memory mapping. Integer arithmetic on doubled
-    half-positions (the difference fits the storage dtype, the total
-    accumulates in int64), halved at the end — bit-identical to the
-    float path because every position is an exact multiple of 1/2 and
-    both exact sums sit far below 2**53."""
-    arena, (i, j) = task
-    half = arena.half_position_rows
-    diff = half[i] - half[j]
-    return float(np.abs(diff).sum(dtype=np.int64)) * 0.5
-
-
-def _dispatch_comparison(repeats: int = 3) -> dict:
-    """Per-pair L1 tasks, zero-copy vs row-pickling dispatch.
-
-    The task list is every pair of the profile — the chunk shape of the
-    parallel pairwise-matrix path — so pickling dispatch ships each row
-    m-1 times while the arena path ships it zero times.
-    """
-    rng = np.random.default_rng(3)
-    profile = tuple(
-        PartialRanking.from_sequence(rng.permutation(_DISPATCH_N).tolist())
-        for _ in range(_DISPATCH_M)
-    )
-    pairs = [
-        (i, j) for i in range(_DISPATCH_M) for j in range(i + 1, _DISPATCH_M)
-    ]
-    with ProfileArena.from_profile(profile) as arena:
-        del profile  # the arena holds the data; drop the object layer pre-fork
-        positions = arena.positions
-        payloads = [
-            (np.array(positions[i]), np.array(positions[j])) for i, j in pairs
-        ]
-        del positions
-        zero_s, zero = _best_of(
-            parallel_map_arena,
-            _arena_pair_l1,
-            pairs,
-            arena,
-            jobs=2,
-            repeats=repeats,
-        )
-        pickle_s, pickled = _best_of(
-            parallel_map, _pair_l1, payloads, jobs=2, repeats=repeats
-        )
-        arena_bytes = arena.nbytes
-    return {
-        "m_rows": _DISPATCH_M,
-        "n_items": _DISPATCH_N,
-        "tasks": len(pairs),
-        "arena_mb": round(arena_bytes / 2**20, 1),
-        "pickled_mb_per_run": round(
-            sum(a.nbytes + b.nbytes for a, b in payloads) / 2**20, 1
-        ),
-        "zero_copy_s": round(zero_s, 4),
-        "pickling_s": round(pickle_s, 4),
-        "speedup": round(pickle_s / zero_s, 2),
-        "bitwise_equal": zero == pickled,
-    }
-
-
-# ----------------------------------------------------------------------
 # Gate + regeneration via the shared CLI
 # ----------------------------------------------------------------------
 
@@ -326,14 +232,11 @@ def _measurements() -> dict:
         "medrank_parity": _medrank_parity(),
         "voter_matrix": _voter_matrix(),
         "tiled_agreement": _tiled_agreement(),
-        "dispatch": _dispatch_comparison(),
     }
 
 
-def check_scale(fresh: dict, retries: int = 2) -> list[str]:
-    """Gate failures: any exactness violation, or a zero-copy speedup
-    below the floor after ``retries`` re-measurements (pool scheduling on
-    shared hardware is noisy; bit-identity never is)."""
+def check_scale(fresh: dict) -> list[str]:
+    """Gate failures: any exactness violation."""
     failures = []
     if not fresh["medrank_parity"]["identical"]:
         failures.append(
@@ -342,28 +245,6 @@ def check_scale(fresh: dict, retries: int = 2) -> list[str]:
         )
     if not fresh["tiled_agreement"]["bitwise_equal"]:
         failures.append("tiled GEMM disagrees with dense/per-pair classification")
-    if not fresh["dispatch"]["bitwise_equal"]:
-        failures.append("zero-copy dispatch returned different bits than pickling")
-    best = fresh["dispatch"]["speedup"]
-    for attempt in range(retries):
-        if best >= ZERO_COPY_FLOOR or failures:
-            break
-        retry = _dispatch_comparison()
-        if not retry["bitwise_equal"]:
-            failures.append("zero-copy dispatch returned different bits than pickling")
-            break
-        print(
-            f"zero-copy speedup {best:.1f}x below floor, re-measured at "
-            f"{retry['speedup']:.1f}x (retry {attempt + 1})"
-        )
-        best = max(best, retry["speedup"])
-    if not failures and best < ZERO_COPY_FLOOR:
-        failures.append(
-            f"zero-copy dispatch speedup {best:.1f}x is below the "
-            f"{ZERO_COPY_FLOOR:.0f}x floor "
-            f"(zero-copy {fresh['dispatch']['zero_copy_s']}s vs "
-            f"pickling {fresh['dispatch']['pickling_s']}s)"
-        )
     return failures
 
 
@@ -377,7 +258,6 @@ def _run_check(baseline: dict) -> int:
         ("medrank accesses (random)", "medrank_adversarial", "total_accesses"),
         ("voter matrix s", "voter_matrix", "seconds"),
         ("tiled GEMM s", "tiled_agreement", "tiled_s"),
-        ("zero-copy speedup", "dispatch", "speedup"),
     )
     for label, section, key in rows:
         print(f"{label:<30}{baseline[section][key]:>14}{fresh[section][key]:>14}")
@@ -394,7 +274,6 @@ def _regenerate() -> int:
 
     payload = {
         "pr": 7,
-        "zero_copy_floor": ZERO_COPY_FLOOR,
         "smoke": _SMOKE,
         "machine": machine_info(),
         **_measurements(),
@@ -416,11 +295,6 @@ def _regenerate() -> int:
     print(
         f"tiled agreement: bitwise_equal={payload['tiled_agreement']['bitwise_equal']}"
     )
-    print(
-        f"dispatch: zero-copy {payload['dispatch']['speedup']}x over pickling "
-        f"(floor {ZERO_COPY_FLOOR:.0f}x), "
-        f"bitwise_equal={payload['dispatch']['bitwise_equal']}"
-    )
     return 0
 
 
@@ -430,8 +304,7 @@ def main(argv: list[str] | None = None) -> int:
     return gate_main(
         argv,
         description=__doc__,
-        check_help="re-measure and fail on exactness violations or a "
-        "zero-copy speedup below the floor",
+        check_help="re-measure and fail on exactness violations",
         check=_run_check,
         regenerate=_regenerate,
     )

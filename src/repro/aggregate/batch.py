@@ -47,11 +47,10 @@ from repro import obs
 from repro.aggregate.dp import optimal_bucketing
 from repro.aggregate.median import MedianTie, _check_tie, _validated_weights
 from repro.aggregate.objective import validate_profile
-from repro.core.arena import ProfileArena
 from repro.core.codec import DomainCodec
 from repro.core.partial_ranking import Item, PartialRanking
 from repro.errors import AggregationError
-from repro.metrics.batch import Profile, position_matrix
+from repro.metrics.batch import position_matrix
 
 __all__ = [
     "median_scores_array",
@@ -187,24 +186,9 @@ def _top_k_slots(scores: npt.NDArray[np.float64], k: int) -> npt.NDArray[np.intp
 
 
 def _encoded_profile(
-    rankings: Profile,
+    rankings: Sequence[PartialRanking],
 ) -> tuple[DomainCodec, npt.NDArray[np.float64]]:
-    """Validate the profile and encode it once as an (m, n) matrix.
-
-    A :class:`~repro.core.arena.ProfileArena` is already encoded — its
-    cached float64 decode is the identical matrix (``half · 0.5`` is
-    exact), so arena-backed aggregation is bit-for-bit the object path.
-    Only owner-side arenas carry the codec needed to name items; a
-    handle-attached arena is rejected with a pointed error.
-    """
-    if isinstance(rankings, ProfileArena):
-        codec = rankings.codec
-        if codec is None:
-            raise AggregationError(
-                "handle-attached arena carries no codec; aggregate in the "
-                "owning process (or rebuild the arena from the rankings)"
-            )
-        return codec, rankings.positions
+    """Validate the profile and encode it once as an (m, n) matrix."""
     domain = validate_profile(rankings)
     codec = DomainCodec.for_domain(domain)
     return codec, position_matrix(rankings, codec)
@@ -218,7 +202,7 @@ def _scores_dict(
 
 
 def median_scores_batch(
-    rankings: Profile,
+    rankings: Sequence[PartialRanking],
     tie: MedianTie = "mid",
     weights: Sequence[float] | None = None,
 ) -> dict[Item, float]:
@@ -233,7 +217,7 @@ def median_scores_batch(
 
 
 def median_top_k_batch(
-    rankings: Profile,
+    rankings: Sequence[PartialRanking],
     k: int,
     tie: MedianTie = "mid",
     weights: Sequence[float] | None = None,
@@ -247,7 +231,7 @@ def median_top_k_batch(
 
 
 def median_full_ranking_batch(
-    rankings: Profile,
+    rankings: Sequence[PartialRanking],
     tie: MedianTie = "mid",
     weights: Sequence[float] | None = None,
 ) -> PartialRanking:
@@ -261,7 +245,7 @@ def median_full_ranking_batch(
 
 
 def median_partial_ranking_batch(
-    rankings: Profile,
+    rankings: Sequence[PartialRanking],
     tie: MedianTie = "mid",
     weights: Sequence[float] | None = None,
 ) -> PartialRanking:
@@ -291,7 +275,7 @@ def _partial_ranking_from_scores(
 
 
 def median_fixed_type_batch(
-    rankings: Profile,
+    rankings: Sequence[PartialRanking],
     bucket_type: Sequence[int],
     tie: MedianTie = "mid",
 ) -> PartialRanking:

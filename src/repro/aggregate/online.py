@@ -62,7 +62,6 @@ from repro.aggregate.batch import (
     _top_k_slots,
 )
 from repro.aggregate.median import MedianTie, _check_tie
-from repro.core.arena import ProfileArena
 from repro.core.codec import DomainCodec
 from repro.core.partial_ranking import Item, PartialRanking
 from repro.errors import AggregationError
@@ -131,25 +130,6 @@ class OnlineMedianAggregator:
     def add(self, ranking: PartialRanking) -> None:
         """Ingest one input ranking. O(n) amortized."""
         self._add_flat(self._encode(ranking))
-
-    def add_arena(self, arena: ProfileArena) -> None:
-        """Bulk-ingest every row of an arena-backed profile. O(m·n).
-
-        Equivalent to adding the arena's rankings one by one — the
-        per-item position multisets are the same, so every subsequent
-        query returns bit-identical results. The arena must be owner-side
-        (carry a codec) over exactly this aggregator's domain.
-        """
-        codec = arena.codec
-        if codec is None:
-            raise AggregationError(
-                "handle-attached arena carries no codec; bulk-add in the owning process"
-            )
-        if codec.domain != self._codec.domain:
-            raise AggregationError("arena domain differs from the aggregator's domain")
-        flat = self._base + arena.half_position_rows.astype(np.int64)
-        self._add_matrix(flat)
-        obs.add("aggregate.online.adds", flat.shape[0])
 
     def _add_matrix(self, flat: npt.NDArray[np.int64]) -> None:
         """Add every row of a ``(k, n)`` flat-index matrix at once.

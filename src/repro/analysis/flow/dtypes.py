@@ -118,21 +118,17 @@ _ROUNDING = frozenset({"rint", "round", "floor", "ceil", "trunc", "around", "flo
 #: functions returning int64 regardless of input.
 _INT_RETURNING = frozenset({"bincount", "argsort", "lexsort", "argmax", "argmin", "searchsorted", "count_nonzero"})
 
-#: The arena's fit-check guards (:func:`repro.core.arena.int32_fits` /
-#: :func:`~repro.core.arena.storage_dtype`). A function that consults one
-#: of these is performing *sanctioned storage narrowing*: int32 is legal
-#: for stored ranks because the guard proved ``2n < 2³¹``. Narrowing
-#: issues are suppressed in such functions; default-accumulator issues
-#: are not — totals must stay int64 no matter how the storage fits.
-_FIT_GUARDS = frozenset({"int32_fits", "storage_dtype"})
+#: The int32 storage fit check (:func:`repro.db.mmap_lists.int32_fits`).
+#: A function that consults it is performing *sanctioned storage
+#: narrowing*: int32 is legal for stored slots because the guard proved
+#: ``2n < 2³¹``. Narrowing issues are suppressed in such functions;
+#: default-accumulator issues are not — totals must stay int64 no matter
+#: how the storage fits.
+_FIT_GUARDS = frozenset({"int32_fits"})
 
 
 def dtype_of_text(text: str) -> DType:
     """Classify a dtype expression's source text."""
-    if "storage_dtype" in text:
-        # the arena's guard-selected dtype *may* be int32: treat the
-        # result as narrow so reductions over it still demand dtype=
-        return DType.NARROW_INT
     if _NARROW_RE.search(text):
         return DType.NARROW_INT
     if _BOOL_RE.search(text):
@@ -279,7 +275,7 @@ class _Inference:
                     "astype() narrows out of the int64 lattice; pair counts "
                     "overflow int32 past ~65k items — keep counts in np.int64 "
                     "(int32 *storage* is sanctioned only in functions that "
-                    "consult the arena's int32_fits()/storage_dtype() guard)",
+                    "consult the int32_fits() storage guard)",
                 )
             if (
                 target == DType.INT64
@@ -298,7 +294,7 @@ class _Inference:
 
         if leaf in _REDUCTIONS:
             if explicit is None and operand_dtype in (DType.BOOL, DType.NARROW_INT):
-                # never sanctioned: the arena guard legalizes narrow
+                # never sanctioned: the int32_fits guard legalizes narrow
                 # *storage*, but totals must still accumulate in int64
                 self._issue(
                     call,
@@ -321,8 +317,7 @@ class _Inference:
                     "narrowing",
                     f"{leaf}(dtype=...) allocates a narrow integer array; "
                     "exact-integer kernels stay in np.int64 (int32 storage "
-                    "is sanctioned only under the arena's int32_fits()/"
-                    "storage_dtype() guard)",
+                    "is sanctioned only under the int32_fits() storage guard)",
                 )
             return explicit
 
@@ -371,7 +366,7 @@ def scan_function_dtypes(
         if dtype != DType.UNKNOWN:
             env[arg.arg] = dtype
 
-    # sanctioned storage narrowing: a function that consults the arena's
+    # sanctioned storage narrowing: a function that consults the int32
     # fit guard anywhere in its body may narrow to int32 (the guard
     # proved the values fit); accumulator hazards stay in force
     fit_guarded = any(

@@ -32,18 +32,16 @@ from repro.analysis.flow.dtypes import scan_function_dtypes
 __all__ = ["DtypeSoundnessRule"]
 
 #: Modules where the int64 lattice is a contract, not a preference.
-#: The arena and mmap-list modules are included because they are exactly
-#: where the *sanctioned* int32 storage mode lives: narrowing is legal
-#: there only in functions that consult ``int32_fits``/``storage_dtype``
-#: (the dtype scan suppresses guarded narrowing; accumulator hazards
-#: remain unconditional).
+#: The mmap-list module is included because it is exactly where the
+#: *sanctioned* int32 storage mode lives: narrowing is legal there only in
+#: functions that consult ``int32_fits`` (the dtype scan suppresses
+#: guarded narrowing; accumulator hazards remain unconditional).
 _KERNEL_MODULES = frozenset(
     {
         "repro.metrics.batch",
         "repro.metrics.fast",
         "repro.aggregate.batch",
         "repro.aggregate.online",
-        "repro.core.arena",
         "repro.db.mmap_lists",
     }
 )

@@ -1,6 +1,5 @@
 """Core data model: partial rankings (bucket orders) and refinement algebra."""
 
-from repro.core.arena import ArenaHandle, ProfileArena, int32_fits, storage_dtype
 from repro.core.codec import DomainCodec
 from repro.core.partial_ranking import Item, PartialRanking
 from repro.core.refine import (
@@ -20,10 +19,6 @@ __all__ = [
     "Item",
     "PartialRanking",
     "DomainCodec",
-    "ArenaHandle",
-    "ProfileArena",
-    "int32_fits",
-    "storage_dtype",
     "star",
     "star_chain",
     "is_refinement",

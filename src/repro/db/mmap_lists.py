@@ -13,9 +13,9 @@ instance-optimality claim is about.
 
 Layout: an ``(m, n)`` integer matrix, row-major, so each list's sorted
 accesses walk one row front to back — sequential within a page and
-across pages. Slots are stored in the arena's sanctioned storage dtype
-(int32 when :func:`~repro.core.arena.int32_fits` says ranks fit, int64
-otherwise); counts and totals derived from them stay in int64.
+across pages. Slots are stored in int32 when :func:`int32_fits` says
+they fit (int64 otherwise); counts and totals derived from them stay in
+int64.
 
 Row ``r`` is the stable argsort of list ``r``'s bucket-index row, which
 is *definitionally* :meth:`PartialRanking.items_in_order
@@ -37,19 +37,32 @@ import numpy as np
 import numpy.typing as npt
 
 from repro import obs
-from repro.core.arena import ProfileArena, int32_fits
 from repro.core.codec import DomainCodec
 from repro.core.partial_ranking import PartialRanking
 from repro.db.cursor import CursorExhausted
 from repro.errors import InvalidRankingError
 
-__all__ = ["SortedListStore", "MmapSortedCursor"]
+__all__ = ["SortedListStore", "MmapSortedCursor", "int32_fits"]
+
+_INT32_MAX = 2**31 - 1
+
+
+def int32_fits(n: int) -> bool:
+    """True when an n-item domain fits the int32 storage mode.
+
+    Stored slots are below n; the bound ``2n ≤ 2³¹ − 1`` also covers
+    doubled positions (at most 2n), the other integer encoding of a
+    ranking. This predicate is the
+    *sanction* RP014 recognizes: narrowing to int32 inside the kernel
+    modules is legal only downstream of this check.
+    """
+    return 2 * n <= _INT32_MAX
 
 
 class SortedListStore:
     """m sorted-access lists over an n-slot domain, one ``.npy`` on disk.
 
-    Build once with :meth:`build` (from rankings or an arena) or
+    Build once with :meth:`build` (from rankings) or
     :meth:`from_rows` (from precomputed access-order rows, for synthetic
     scale runs); reopen any time with :meth:`open`. ``mmap=True`` (the
     default on open) maps the file instead of reading it, so access cost
@@ -72,20 +85,15 @@ class SortedListStore:
     def build(
         cls,
         path: str | Path,
-        profile: Sequence[PartialRanking] | ProfileArena,
+        profile: Sequence[PartialRanking],
     ) -> "SortedListStore":
         """Persist a profile's sorted-access orders and reopen them mapped.
 
         Each row is the stable argsort of the profile's bucket-index row —
         the slot-space ``items_in_order()`` of that list.
         """
-        if isinstance(profile, ProfileArena):
-            bucket_rows = profile.bucket_rows
-        else:
-            codec = DomainCodec.for_profile(profile)
-            bucket_rows = np.stack(
-                [ranking.dense_arrays(codec)[0] for ranking in profile]
-            )
+        codec = DomainCodec.for_profile(profile)
+        bucket_rows = np.stack([ranking.dense_arrays(codec)[0] for ranking in profile])
         order = np.argsort(bucket_rows, axis=1, kind="stable")
         return cls.from_rows(path, order)
 

@@ -29,26 +29,32 @@ metric (``kendall``, ``footrule``, ``kendall_hausdorff``,
 gemms below 2⁵³), so there is no tolerance anywhere — the test suite
 asserts equality with ``==``.
 
+The L1 metrics — ``F_prof`` here and the weighted-footrule and
+top-difference plugins — share one serial kernel, :func:`_l1_matrix`:
+each ranking's row broadcast against all later rows, in cache-sized
+blocks. They accept ``jobs`` only because every registry batch kernel
+does, and ignore it; the temporary is never larger than the ``(m, n)``
+profile.
+
 The ``jobs`` keyword (default: serial; see :mod:`repro.parallel`) spreads
-the per-pair kernels over a process pool; results are reassembled in
-input order, so parallel runs are bit-for-bit identical to serial ones.
-Each per-pair kernel has one pool worker, which takes an ``(m, n)`` row
-matrix; on the arena path the task carries the worker's mapped arena
-instead and the worker reads the matrix from it.
+the per-pair kernels (``F_Haus`` and the per-pair Kendall classifier)
+over a process pool. Each has one chunk worker, which takes the
+``(m, n)`` row matrix by pickle and a chunk of index pairs; results are
+reassembled in input order, so parallel runs are bit-for-bit identical
+to serial ones.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import Any, TypeVar, Union
+from typing import Any, TypeVar
 
 import numpy as np
 import numpy.typing as npt
 
 from repro import obs
 from repro._util import pairs
-from repro.core.arena import ProfileArena
 from repro.core.codec import DomainCodec
 from repro.core.partial_ranking import PartialRanking
 from repro.errors import InvalidRankingError
@@ -65,14 +71,7 @@ from repro.metrics.registry import (
     get_metric,
     register_metric,
 )
-from repro.parallel import parallel_map, parallel_map_arena, resolve_jobs
-
-#: A batch-layer profile: either the object layer (a sequence of
-#: rankings, encoded on the fly) or a shared-memory
-#: :class:`~repro.core.arena.ProfileArena` (already encoded, zero-copy
-#: across the pool boundary). Every kernel here accepts both and is
-#: required to produce bit-identical results for them.
-Profile = Union[Sequence[PartialRanking], ProfileArena]
+from repro.parallel import parallel_map, resolve_jobs
 
 _R = TypeVar("_R")
 
@@ -162,29 +161,6 @@ def position_matrix(
     return np.stack([ranking.dense_arrays(codec)[1] for ranking in rankings])
 
 
-def _profile_bucket_rows(profile: Profile) -> npt.NDArray[np.signedinteger[Any]]:
-    """The ``(m, n)`` bucket-index matrix of either profile representation.
-
-    Arena-backed profiles return their shared-memory view (storage dtype,
-    possibly int32 — every consumer accumulates in int64); object-layer
-    profiles encode through the codec as before.
-    """
-    if isinstance(profile, ProfileArena):
-        return profile.bucket_rows
-    return bucket_index_matrix(profile)
-
-
-def _profile_position_rows(profile: Profile) -> npt.NDArray[np.float64]:
-    """The ``(m, n)`` float64 position matrix of either representation.
-
-    The arena decode (``half · 0.5``) is exact, so both branches return
-    bit-identical matrices for the same profile.
-    """
-    if isinstance(profile, ProfileArena):
-        return profile.positions
-    return position_matrix(profile, DomainCodec.for_profile(profile))
-
-
 # ----------------------------------------------------------------------
 # Pair classification
 # ----------------------------------------------------------------------
@@ -220,23 +196,14 @@ def _tied_per_ranking(
     return tied
 
 
-#: A chunk worker's rows: the ``(m, n)`` matrix itself or, on the arena
-#: path, the :class:`~repro.core.arena.ProfileArena` holding it.
-_Rows = Union[npt.NDArray[Any], ProfileArena]
-
-#: A chunk worker's task: its rows and the (i, j) index pairs to evaluate.
-_Task = tuple[_Rows, list[tuple[int, int]]]
-
-
-def _rows(source: _Rows, view: str) -> npt.NDArray[Any]:
-    """A worker's row matrix: the task's array, or the arena's ``view``."""
-    return getattr(source, view) if isinstance(source, ProfileArena) else source
+#: A chunk worker's task: the ``(m, n)`` row matrix and the (i, j) index
+#: pairs to evaluate.
+_Task = tuple[npt.NDArray[Any], list[tuple[int, int]]]
 
 
 def _classify_chunk(task: _Task) -> list[tuple[int, int]]:
     """Pool worker: (discordant, tied_both) for a chunk of index pairs."""
-    source, index_pairs = task
-    rows = _rows(source, "bucket_rows")
+    rows, index_pairs = task
     return [_classify_rows(rows[i], rows[j]) for i, j in index_pairs]
 
 
@@ -255,18 +222,16 @@ def _chunk(items: list[tuple[int, int]], n_chunks: int) -> list[list[tuple[int, 
 
 def _map_row_pairs(
     worker: Callable[[_Task], list[_R]],
-    source: _Rows,
+    rows: npt.NDArray[Any],
     jobs: int | None,
 ) -> tuple[list[list[tuple[int, int]]], list[list[_R]]]:
-    """Run a chunk worker over every row pair (i < j) of ``source``.
+    """Run a chunk worker over every row pair (i < j) of ``rows``.
 
-    Returns the chunks and their results, in order. An arena ``source``
-    dispatches zero-copy: pooled tasks ship only its handle.
+    Returns the chunks and their results, in order; each pooled task
+    carries the whole row matrix.
     """
-    chunks = _chunk(_upper_triangle(len(source)), resolve_jobs(jobs))
-    if isinstance(source, ProfileArena):
-        return chunks, parallel_map_arena(worker, chunks, source, jobs=jobs)
-    return chunks, parallel_map(worker, [(source, chunk) for chunk in chunks], jobs=jobs)
+    chunks = _chunk(_upper_triangle(len(rows)), resolve_jobs(jobs))
+    return chunks, parallel_map(worker, [(rows, chunk) for chunk in chunks], jobs=jobs)
 
 
 def _pair_counts_dense_tiled(
@@ -328,19 +293,12 @@ def _pair_counts_dense_tiled(
 def _pair_counts_pairs(
     bucket_rows: npt.NDArray[np.signedinteger[Any]],
     jobs: int | None,
-    arena: ProfileArena | None = None,
 ) -> PairCountsMatrix:
-    """Classify all pairs with the per-pair O(n log n) kernel.
-
-    With an arena, pool tasks carry only the handle and index pairs —
-    workers map the bucket matrix instead of unpickling it.
-    """
+    """Classify all pairs with the per-pair O(n log n) kernel."""
     m, n = bucket_rows.shape
     total = pairs(n)
     tied = _tied_per_ranking(bucket_rows)
-    chunks, results = _map_row_pairs(
-        _classify_chunk, bucket_rows if arena is None else arena, jobs
-    )
+    chunks, results = _map_row_pairs(_classify_chunk, bucket_rows, jobs)
 
     discordant = np.zeros((m, m), dtype=np.int64)
     tied_first_only = np.zeros((m, m), dtype=np.int64)
@@ -367,7 +325,7 @@ def _pair_counts_pairs(
 
 
 def pair_counts_matrix(
-    rankings: Profile,
+    rankings: Sequence[PartialRanking],
     *,
     jobs: int | None = None,
 ) -> PairCountsMatrix:
@@ -379,17 +337,15 @@ def pair_counts_matrix(
     per-pair lexsort/merge kernel (:func:`_pair_counts_pairs`), which
     ``jobs`` spreads over a process pool. Both produce identical
     matrices, bit for bit; the test suite and
-    ``relation:tiled-gemm-agreement`` assert it. ``rankings`` may be a
-    sequence of rankings or a :class:`~repro.core.arena.ProfileArena`.
+    ``relation:tiled-gemm-agreement`` assert it.
     """
-    arena = rankings if isinstance(rankings, ProfileArena) else None
-    bucket_rows = _profile_bucket_rows(rankings)
+    bucket_rows = bucket_index_matrix(rankings)
     m, n = bucket_rows.shape
     tiled = m * n * n <= _TILED_BUDGET
     if not obs.enabled():
         if tiled:
             return _pair_counts_dense_tiled(bucket_rows)
-        return _pair_counts_pairs(bucket_rows, jobs, arena)
+        return _pair_counts_pairs(bucket_rows, jobs)
     strategy = "tiled" if tiled else "pairs"
     with obs.trace("metrics.batch.pair_counts_matrix", m=m, n=n, strategy=strategy):
         # both kernels classify all n-choose-2 item pairs of each of the
@@ -398,7 +354,7 @@ def pair_counts_matrix(
         obs.add("metrics.batch.ranking_pairs", pairs(m))
         if tiled:
             return _pair_counts_dense_tiled(bucket_rows)
-        return _pair_counts_pairs(bucket_rows, jobs, arena)
+        return _pair_counts_pairs(bucket_rows, jobs)
 
 
 # ----------------------------------------------------------------------
@@ -406,17 +362,36 @@ def pair_counts_matrix(
 # ----------------------------------------------------------------------
 
 
-def _l1_chunk(task: _Task) -> list[float]:
-    """Pool worker: L1 gaps between value rows for a chunk of index pairs.
+#: Elements per L1 broadcast block: the ``(k, n)`` temporary stays
+#: cache-sized (512 KB) at any domain size.
+_L1_BLOCK = 1 << 16
 
-    The rows are positions for F_prof (an arena supplies its exact
-    float64 decode) and the plugins' transformed position rows. Every
-    value is a dyadic rational far from 2⁵³, so each sum is exact in any
-    order.
+
+def _l1_matrix(rows: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
+    """The m×m L1 distance matrix between the rows of an ``(m, n)`` matrix.
+
+    The rows are positions for F_prof and the plugins' transformed
+    position rows. Each row is broadcast against the later rows a block
+    at a time, as many rows as keep the reused temporary within
+    ``_L1_BLOCK`` elements (a whole-profile broadcast ran at half the
+    per-pair loop's speed at 80 × 10,000, on fresh multi-megabyte
+    temporaries). Every value is a dyadic rational far from 2⁵³, so each
+    sum is exact in any order and equals the per-pair sum bit for bit.
     """
-    source, index_pairs = task
-    rows = _rows(source, "positions")
-    return [float(np.abs(rows[i] - rows[j]).sum()) for i, j in index_pairs]
+    m, n = rows.shape
+    matrix = np.zeros((m, m), dtype=np.float64)
+    step = max(1, _L1_BLOCK // max(1, n))
+    buffer = np.empty((min(step, m), n), dtype=np.float64)
+    for i in range(m - 1):
+        for start in range(i + 1, m, step):
+            stop = min(start + step, m)
+            gaps = buffer[: stop - start]
+            np.subtract(rows[start:stop], rows[i], out=gaps)
+            np.abs(gaps, out=gaps)
+            sums = gaps.sum(axis=1)
+            matrix[i, start:stop] = sums
+            matrix[start:stop, i] = sums
+    return matrix
 
 
 def _fhaus_rows(
@@ -444,18 +419,17 @@ def _fhaus_rows(
 
 def _fhaus_chunk(task: _Task) -> list[float]:
     """Pool worker: F_Haus for a chunk of index pairs of bucket rows."""
-    source, index_pairs = task
-    rows = _rows(source, "bucket_rows")
+    rows, index_pairs = task
     return [_fhaus_rows(rows[i], rows[j]) for i, j in index_pairs]
 
 
-def _symmetric_matrix(
-    worker: Callable[[_Task], list[float]], source: _Rows, jobs: int | None
+def _fhaus_matrix(
+    bucket_rows: npt.NDArray[np.signedinteger[Any]], jobs: int | None
 ) -> npt.NDArray[np.float64]:
-    """The m×m symmetric, zero-diagonal matrix of a float chunk worker."""
-    m = len(source)
+    """The m×m F_Haus matrix: symmetric, zero diagonal, per-pair chunks."""
+    m = len(bucket_rows)
     matrix = np.zeros((m, m), dtype=np.float64)
-    for chunk, values in zip(*_map_row_pairs(worker, source, jobs)):
+    for chunk, values in zip(*_map_row_pairs(_fhaus_chunk, bucket_rows, jobs)):
         for (i, j), value in zip(chunk, values):
             matrix[i, j] = matrix[j, i] = value
     return matrix
@@ -569,7 +543,7 @@ def _fhaus_candidate_scorer(profile: Sequence[PartialRanking]) -> CandidateScore
 
 
 def pairwise_distance_matrix(
-    rankings: Profile,
+    rankings: Sequence[PartialRanking],
     metric: str = "kendall",
     *,
     p: float = 0.5,
@@ -585,11 +559,9 @@ def pairwise_distance_matrix(
     ``weighted_footrule``, ``top_difference``). Unknown names raise the
     registry's shared :class:`~repro.errors.UnknownMetricError` listing
     all registered spellings. ``p`` applies to the Kendall metric only;
-    ``jobs`` spreads the per-pair code paths over a process pool
-    (:mod:`repro.parallel`). ``rankings`` may be a sequence
-    of rankings or a :class:`~repro.core.arena.ProfileArena`, in which
-    case pooled workers map the profile zero-copy instead of unpickling
-    rows.
+    ``jobs`` spreads the per-pair code paths (``F_Haus``, per-pair
+    Kendall) over a process pool (:mod:`repro.parallel`); the L1 metrics
+    ignore it.
 
     Entries are bit-for-bit equal to the two-ranking metrics; the matrix
     is symmetric with a zero diagonal.
@@ -617,7 +589,7 @@ def pairwise_distance_matrix(
 
 
 def _pairwise_distance_matrix_impl(
-    rankings: Profile,
+    rankings: Sequence[PartialRanking],
     canonical: str,
     *,
     p: float,
@@ -628,13 +600,10 @@ def _pairwise_distance_matrix_impl(
     if canonical == "kendall_hausdorff":
         counts = pair_counts_matrix(rankings, jobs=jobs)
         return counts.kendall_hausdorff().astype(np.float64)
-    arena = rankings if isinstance(rankings, ProfileArena) else None
     if canonical == "footrule":
-        rows = arena if arena is not None else _profile_position_rows(rankings)
-        return _symmetric_matrix(_l1_chunk, rows, jobs)
+        return _l1_matrix(position_matrix(rankings))
     # footrule_hausdorff
-    rows = arena if arena is not None else _profile_bucket_rows(rankings)
-    return _symmetric_matrix(_fhaus_chunk, rows, jobs)
+    return _fhaus_matrix(bucket_index_matrix(rankings), jobs)
 
 
 # ----------------------------------------------------------------------
@@ -646,7 +615,7 @@ def _builtin_batch(canonical: str) -> Any:
     """The registry-facing batch kernel of one built-in metric."""
 
     def call(
-        profile: Profile, *, p: float = 0.5, jobs: int | None = None
+        profile: Sequence[PartialRanking], *, p: float = 0.5, jobs: int | None = None
     ) -> npt.NDArray[np.float64]:
         return _pairwise_distance_matrix_impl(profile, canonical, p=p, jobs=jobs)
 

@@ -33,6 +33,8 @@ bit for bit.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 import numpy.typing as npt
 
@@ -41,13 +43,7 @@ from repro.analysis.contracts import checked_metric
 from repro.core.partial_ranking import PartialRanking
 from repro.errors import DomainMismatchError, InvalidRankingError
 from repro._util import pairs
-from repro.metrics.batch import (
-    Profile,
-    _l1_candidate_scorer,
-    _l1_chunk,
-    _profile_position_rows,
-    _symmetric_matrix,
-)
+from repro.metrics.batch import _l1_candidate_scorer, _l1_matrix, position_matrix
 from repro.metrics.registry import MetricPlugin, register_metric
 
 __all__ = [
@@ -189,7 +185,7 @@ def _default_values(positions: npt.NDArray[np.float64]) -> npt.NDArray[np.float6
 
 
 def top_difference_matrix(
-    profile: Profile,
+    profile: Sequence[PartialRanking],
     *,
     alphas: npt.ArrayLike | None = None,
     p: float = 0.5,
@@ -200,20 +196,20 @@ def top_difference_matrix(
     One prefix-sum table and one ``(m, n)`` ceiling-value matrix serve
     the whole profile; pairs reduce to vectorized L1 gaps. The per-pair
     scalar path re-derives the table and the ceilings per call — the gap
-    the ≥5× batch bar in ``BENCH_PLUGINS.json`` measures. ``p`` is
-    accepted for dispatch uniformity and ignored; ``jobs`` spreads pair
-    chunks over a process pool, bit-for-bit identically (exact dyadic
-    sums in every order).
+    the ≥5× batch bar in ``BENCH_PLUGINS.json`` measures. ``p`` and
+    ``jobs`` are accepted for dispatch uniformity and ignored: the shared
+    L1 kernel is serial (blocked row broadcasts), and exact dyadic
+    sums make every order agree bit for bit.
     """
-    positions = _profile_position_rows(profile)
+    positions = position_matrix(profile)
     m, n = positions.shape
     table = alpha_prefix(n, alphas)
     value_rows = _ceiling_values(positions, table)
     if not obs.enabled():
-        return _symmetric_matrix(_l1_chunk, value_rows, jobs)
+        return _l1_matrix(value_rows)
     with obs.trace("metrics.plugins.top_difference_matrix", m=m, n=n):
         obs.add("metrics.plugins.top_difference.pairs", pairs(m))
-        return _symmetric_matrix(_l1_chunk, value_rows, jobs)
+        return _l1_matrix(value_rows)
 
 
 def max_top_difference(n: int) -> float:

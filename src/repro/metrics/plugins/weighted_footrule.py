@@ -20,12 +20,14 @@ partial rankings (see THEORY.md, "Weighted footrule regularity").
 clamped positive), making every table entry, every |difference|, and
 every partial sum an exact multiple of ``2^-21`` well below the 2^53
 integer ceiling. Every summation order therefore yields the *same*
-float64 — the scalar kernel, the vectorized batch kernel, its process-
-pool variant, and the plain-Python oracle agree bit for bit, and the
-verify harness asserts it with ``==``.
+float64 — the scalar kernel, the vectorized batch kernel, and the
+plain-Python oracle agree bit for bit, and the verify harness asserts it
+with ``==``.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -35,13 +37,7 @@ from repro.analysis.contracts import checked_metric
 from repro.core.partial_ranking import PartialRanking
 from repro.errors import DomainMismatchError, InvalidRankingError
 from repro._util import pairs
-from repro.metrics.batch import (
-    Profile,
-    _l1_candidate_scorer,
-    _l1_chunk,
-    _profile_position_rows,
-    _symmetric_matrix,
-)
+from repro.metrics.batch import _l1_candidate_scorer, _l1_matrix, position_matrix
 from repro.metrics.registry import MetricPlugin, register_metric
 
 __all__ = [
@@ -192,7 +188,7 @@ def weighted_footrule_naive(
 
 
 def weighted_footrule_matrix(
-    profile: Profile,
+    profile: Sequence[PartialRanking],
     *,
     weights: npt.ArrayLike | None = None,
     p: float = 0.5,
@@ -204,20 +200,20 @@ def weighted_footrule_matrix(
     matrix are built for the whole profile, then pairs reduce to
     vectorized L1 gaps — the per-pair scalar path rebuilds the table and
     walks the domain in Python every call, which is what the ≥5× batch
-    bar in ``BENCH_PLUGINS.json`` measures. ``p`` is accepted for
-    dispatch uniformity and ignored. ``jobs`` spreads the pair chunks
-    over a process pool; every summation order is exact (dyadic units),
-    so serial, parallel, and arena-backed runs are bit-for-bit identical.
+    bar in ``BENCH_PLUGINS.json`` measures. ``p`` and ``jobs`` are
+    accepted for dispatch uniformity and ignored: the shared L1 kernel
+    is serial (blocked row broadcasts), and every summation order
+    is exact (dyadic units), so it equals the per-pair sums bit for bit.
     """
-    positions = _profile_position_rows(profile)
+    positions = position_matrix(profile)
     m, n = positions.shape
     table = weight_table(n, weights)
     value_rows = _value_rows(positions, table)
     if not obs.enabled():
-        return _symmetric_matrix(_l1_chunk, value_rows, jobs)
+        return _l1_matrix(value_rows)
     with obs.trace("metrics.plugins.weighted_footrule_matrix", m=m, n=n):
         obs.add("metrics.plugins.weighted_footrule.pairs", pairs(m))
-        return _symmetric_matrix(_l1_chunk, value_rows, jobs)
+        return _l1_matrix(value_rows)
 
 
 def max_weighted_footrule(n: int) -> float:

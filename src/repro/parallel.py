@@ -12,7 +12,12 @@ the test suite to produce bit-for-bit the same results as the serial one.
 Worker functions must be module-level (picklable); rankings cross the
 process boundary via :meth:`PartialRanking.__reduce__
 <repro.core.partial_ranking.PartialRanking.__reduce__>`, which ships only
-the bucket tuples and lets each worker rebuild its caches locally.
+the bucket tuples and lets each worker rebuild its caches locally, and
+the batch kernels' ``(m, n)`` row matrices travel as plain pickled
+arrays, one copy per task. Of the distance kernels only the per-pair
+ones take the pool (``F_Haus`` and the per-pair Kendall classifier); the
+L1 metrics are one serial array pass that accepts ``jobs`` and ignores
+it.
 
 When a :mod:`repro.obs` trace session is active in the parent, the pool
 path additionally propagates span context across the process boundary:
@@ -30,14 +35,11 @@ import os
 import warnings
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
-from typing import TYPE_CHECKING, Any, TypeVar
+from typing import Any, TypeVar
 
 from repro.obs import spans as _spans
 
-if TYPE_CHECKING:
-    from repro.core.arena import ArenaHandle, ProfileArena
-
-__all__ = ["ENV_JOBS", "resolve_jobs", "parallel_map", "parallel_map_arena"]
+__all__ = ["ENV_JOBS", "resolve_jobs", "parallel_map"]
 
 ENV_JOBS = "REPRO_JOBS"
 
@@ -131,26 +133,12 @@ def parallel_map(
     n_jobs = min(resolve_jobs(jobs), len(work)) if work else 1
     if n_jobs <= 1:
         return [fn(item) for item in work]
-    return _pool_map(fn, work, n_jobs, chunksize, "parallel.map")
-
-
-def _pool_map(
-    fn: Callable[[_T], _R],
-    work: Sequence[_T],
-    n_jobs: int,
-    chunksize: int,
-    span: str,
-    **attrs: Any,
-) -> list[_R]:
-    """Run ``fn`` over ``work`` on ``n_jobs`` processes, in input order.
-
-    Under an active trace session each task runs through
-    :func:`_traced_worker` and its spans are grafted under one ``span``.
-    """
     if not _spans.enabled():
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             return list(pool.map(fn, work, chunksize=max(1, chunksize)))
-    with _spans.trace(span, jobs=n_jobs, items=len(work), **attrs):
+    # under an active trace session each task runs through _traced_worker
+    # and its spans are grafted under one parallel.map span
+    with _spans.trace("parallel.map", jobs=n_jobs, items=len(work)):
         payloads = [(fn, item) for item in work]
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             shipped = list(
@@ -174,64 +162,3 @@ def _graft_worker_spans(shipped: list[tuple[_R, list[dict[str, Any]]]]) -> list[
             _spans.attach_worker_spans(span_dicts, worker)
         results.append(result)
     return results
-
-
-#: Arenas this worker process has mapped, held strongly for the life of
-#: the pool so every task against the same arena reuses one mapping
-#: (attach is memoized per segment; the OS reclaims mappings at worker
-#: exit, and only the creating process ever unlinks).
-_WORKER_ARENAS: dict[str, "ProfileArena"] = {}
-
-
-def _worker_arena(handle: "ArenaHandle") -> "ProfileArena":
-    arena = _WORKER_ARENAS.get(handle.name)
-    if arena is None or not arena.attached:
-        from repro.core.arena import ProfileArena
-
-        arena = ProfileArena.attach(handle)
-        _WORKER_ARENAS[handle.name] = arena  # repro: noqa[RP012] — worker-local mmap cache; the mapping must outlive the task, and dying with the worker is its intended lifetime
-    return arena
-
-
-def _arena_worker(
-    payload: tuple["ArenaHandle", Callable[[tuple["ProfileArena", _T]], _R], _T],
-) -> _R:
-    handle, fn, item = payload
-    return fn((_worker_arena(handle), item))
-
-
-def parallel_map_arena(
-    fn: Callable[[tuple["ProfileArena", _T]], _R],
-    items: Iterable[_T],
-    arena: "ProfileArena",
-    *,
-    jobs: int | None = None,
-    chunksize: int = 1,
-) -> list[_R]:
-    """``[fn((arena, x)) for x in items]`` with zero-copy worker dispatch.
-
-    The arena-aware form of :func:`parallel_map`: ``fn`` is the same
-    single-argument worker, called on ``(arena, item)`` tasks. Instead of
-    pickling profile rows into every task, each pooled task ships only
-    the :class:`~repro.core.arena.ArenaHandle` (a segment name and a
-    shape), and the worker maps the shared-memory matrices in place —
-    first task pays one ``mmap``, later tasks reuse it — before calling
-    ``fn`` with its process-local arena, which ``fn`` must treat as
-    read-only. Results come back in input order; the serial path calls
-    ``fn`` with the caller's own arena, so ``jobs`` levels are required
-    (and tested) to agree bit for bit.
-    """
-    work: Sequence[_T] = items if isinstance(items, Sequence) else list(items)
-    n_jobs = min(resolve_jobs(jobs), len(work)) if work else 1
-    if n_jobs <= 1:
-        return [fn((arena, item)) for item in work]
-    handle = arena.handle()
-    payloads = [(handle, fn, item) for item in work]
-    return _pool_map(
-        _arena_worker,
-        payloads,
-        n_jobs,
-        chunksize,
-        "parallel.map_arena",
-        arena_bytes=handle.nbytes,
-    )

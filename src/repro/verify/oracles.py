@@ -50,7 +50,6 @@ from repro.aggregate.median import (
     median_top_k,
 )
 from repro.aggregate.online import OnlineMedianAggregator
-from repro.core.arena import ProfileArena
 from repro.core.codec import DomainCodec
 from repro.core.partial_ranking import PartialRanking
 from repro.core.refine import common_full_ranking, star
@@ -59,7 +58,7 @@ from repro.metrics.batch import (
     PairCountsMatrix,
     _pair_counts_dense_tiled,
     _pair_counts_pairs,
-    _profile_bucket_rows,
+    bucket_index_matrix,
     pair_counts_matrix,
     pairwise_distance_matrix,
 )
@@ -285,7 +284,7 @@ def _pair_counts_kernel(
     def classify(rankings: Rankings) -> PairCountsMatrix:
         if kernel == "public":
             return pair_counts_matrix(rankings, jobs=jobs)
-        rows = _profile_bucket_rows(rankings)
+        rows = bucket_index_matrix(rankings)
         if kernel == "pairs":
             return _pair_counts_pairs(rows, jobs)
         return _pair_counts_dense_tiled(rows, tile)
@@ -375,34 +374,6 @@ def _kendall_matrix_kernel(
     return call
 
 
-#: The four distance entry points exercised by the arena-vs-object check.
-_ALL_BATCH_METRICS = ("kendall", "footrule", "kendall_hausdorff", "footrule_hausdorff")
-
-
-def _all_metric_matrices(use_arena: bool, jobs: int | None) -> _OracleFn:
-    """All four pairwise matrices from either profile representation.
-
-    The arena path encodes the profile into a fresh shared-memory segment,
-    computes every matrix from the zero-copy position data, and detaches
-    (unlinking the segment) before returning — a leak here would fail the
-    arena lifecycle tests, not just this oracle.
-    """
-
-    def call(rankings: Rankings) -> object:
-        if use_arena:
-            with ProfileArena.from_profile(rankings) as arena:
-                return tuple(
-                    pairwise_distance_matrix(arena, metric, jobs=jobs)
-                    for metric in _ALL_BATCH_METRICS
-                )
-        return tuple(
-            pairwise_distance_matrix(rankings, metric, jobs=jobs)
-            for metric in _ALL_BATCH_METRICS
-        )
-
-    return call
-
-
 def _matching_variant(jobs: int | None) -> _OracleFn:
     def call(rankings: Rankings) -> object:
         return optimal_footrule_aggregation(rankings, jobs=jobs)
@@ -451,8 +422,7 @@ def _deterministic_weights(count: int) -> list[float]:
 
 
 #: The median computations under differential test: the dict reference,
-#: the public entry points, and the position-matrix kernels (which the
-#: ``arena`` variants also feed a shared-memory profile).
+#: the public entry points, and the position-matrix kernels.
 _MEDIAN_PATHS = {
     "dict": (
         median_scores_dict,
@@ -478,50 +448,31 @@ _MEDIAN_PATHS = {
 }
 
 
-def _on_profile(rankings: Rankings, arena: bool, fn: Callable[..., object]) -> object:
-    """``fn(profile)`` on the rankings or on a shared-memory copy of them."""
-    if not arena:
-        return fn(rankings)
-    with ProfileArena.from_profile(rankings) as shared:
-        return fn(shared)
-
-
 def _median_scores_variant(path: str, weighted: bool) -> _OracleFn:
-    """All three tie rules through one median path (``arena``: the
-    kernels over a :class:`~repro.core.arena.ProfileArena`)."""
-    scores = _MEDIAN_PATHS["array" if path == "arena" else path][0]
+    """All three tie rules through one median path."""
+    scores = _MEDIAN_PATHS[path][0]
 
     def call(rankings: Rankings) -> object:
         weights = _deterministic_weights(len(rankings)) if weighted else None
-        return _on_profile(
-            rankings,
-            path == "arena",
-            lambda profile: tuple(
-                scores(profile, tie=tie, weights=weights) for tie in _MEDIAN_TIES
-            ),
-        )
+        return tuple(scores(rankings, tie=tie, weights=weights) for tie in _MEDIAN_TIES)
 
     return call
 
 
 def _median_outputs_variant(path: str) -> _OracleFn:
     """Theorem 9/10/11 + Corollary 30 outputs through one median path."""
-    _, top_k, full, partial, fixed = _MEDIAN_PATHS["array" if path == "arena" else path]
+    _, top_k, full, partial, fixed = _MEDIAN_PATHS[path]
 
     def call(rankings: Rankings) -> object:
         n = len(rankings[0])
         k = (n + 1) // 2
         head = (n + 1) // 2
         bucket_type = (head, n - head) if n > head else (n,)
-        return _on_profile(
-            rankings,
-            path == "arena",
-            lambda profile: (
-                top_k(profile, k),
-                full(profile),
-                partial(profile),
-                fixed(profile, bucket_type),
-            ),
+        return (
+            top_k(rankings, k),
+            full(rankings),
+            partial(rankings),
+            fixed(rankings, bucket_type),
         )
 
     return call
@@ -535,32 +486,6 @@ def _online_reference(rankings: Rankings) -> object:
     if len(rankings) > 1:
         snapshots.append(median_scores_dict(rankings[1:]))
     return tuple(snapshots)
-
-
-def _online_bulk(use_arena: bool) -> _OracleFn:
-    """Final scores after ingesting the whole profile (then one discard).
-
-    The arena path uses :meth:`OnlineMedianAggregator.add_arena` — one
-    vectorized bulk append — and must land in exactly the state the
-    per-ranking ``add`` loop reaches, including after a later object-level
-    ``discard`` interleaves with it.
-    """
-
-    def call(rankings: Rankings) -> object:
-        aggregator = OnlineMedianAggregator(rankings[0].domain)
-        if use_arena:
-            with ProfileArena.from_profile(rankings) as arena:
-                aggregator.add_arena(arena)
-        else:
-            for sigma in rankings:
-                aggregator.add(sigma)
-        snapshots = [aggregator.scores()]
-        if len(rankings) > 1:
-            aggregator.discard(rankings[0])
-            snapshots.append(aggregator.scores())
-        return tuple(snapshots)
-
-    return call
 
 
 def _medrank_k(rankings: Rankings) -> int:
@@ -901,18 +826,6 @@ def _build_entries() -> tuple[OracleEntry, ...]:
             expensive=frozenset({"jobs2"}),
         ),
         OracleEntry(
-            name="batch-arena",
-            kind="profile",
-            citation="zero-copy shared-memory profiles vs object profiles",
-            covers=("pairwise_distance_matrix", "pair_counts_matrix"),
-            reference=_all_metric_matrices(use_arena=False, jobs=None),
-            variants=(
-                ("arena-serial", _all_metric_matrices(use_arena=True, jobs=None)),
-                ("arena-jobs2", _all_metric_matrices(use_arena=True, jobs=2)),
-            ),
-            expensive=frozenset({"arena-jobs2"}),
-        ),
-        OracleEntry(
             name="aggregate-footrule-matching",
             kind="profile",
             citation="optimal footrule aggregation: serial vs pooled cost matrix",
@@ -960,7 +873,7 @@ def _build_entries() -> tuple[OracleEntry, ...]:
             reference=_median_scores_variant("dict", weighted=True),
             variants=(
                 ("public", _median_scores_variant("public", weighted=True)),
-                ("arena", _median_scores_variant("arena", weighted=True)),
+                ("array", _median_scores_variant("array", weighted=True)),
             ),
         ),
         OracleEntry(
@@ -977,7 +890,6 @@ def _build_entries() -> tuple[OracleEntry, ...]:
             variants=(
                 ("public", _median_outputs_variant("public")),
                 ("array", _median_outputs_variant("array")),
-                ("arena", _median_outputs_variant("arena")),
             ),
         ),
         OracleEntry(
@@ -1001,14 +913,6 @@ def _build_entries() -> tuple[OracleEntry, ...]:
                 ("update", _online_update_variant(through_pickle=False)),
                 ("update-pickled", _online_update_variant(through_pickle=True)),
             ),
-        ),
-        OracleEntry(
-            name="aggregate-online-arena",
-            kind="profile",
-            citation="bulk arena ingestion vs per-ranking adds, then a discard",
-            covers=(),
-            reference=_online_bulk(use_arena=False),
-            variants=(("add-arena", _online_bulk(use_arena=True)),),
         ),
         OracleEntry(
             name="aggregate-exhaustive",

@@ -50,7 +50,7 @@ from repro.metrics.hausdorff import (
 from repro.metrics.batch import (
     _pair_counts_dense_tiled,
     _pair_counts_pairs,
-    _profile_bucket_rows,
+    bucket_index_matrix,
 )
 from repro.metrics.kendall import kendall, kendall_full, pair_counts
 from repro.verify.oracles import Rankings
@@ -302,7 +302,7 @@ def _check_tiled_gemm_agreement(rankings: Rankings) -> str | None:
     then compares each against the one-tile result, the per-pair kernel,
     and the object-level :func:`pair_counts` — integer quantities
     throughout, so every comparison is exact."""
-    rows = _profile_bucket_rows(rankings)
+    rows = bucket_index_matrix(rankings)
     one_tile = _pair_counts_dense_tiled(rows)
     others = {
         f"{tile}-wide tiles": _pair_counts_dense_tiled(rows, tile)

@@ -527,12 +527,12 @@ class TestRP014DtypeSoundness:
         assert codes(result) == []
 
 
-RP014_ARENA_FILE = "src/repro/core/arena.py"
+RP014_STORAGE_FILE = "src/repro/db/mmap_lists.py"
 
 RP014_GUARDED_NARROWING = (
     "import numpy as np\n"
     "import numpy.typing as npt\n"
-    "from repro.core.arena import int32_fits\n"
+    "from repro.db.mmap_lists import int32_fits\n"
     "def store(a: npt.NDArray[np.int64], n: int):\n"
     "    if int32_fits(n):\n"
     "        return a.astype(np.int32)\n"
@@ -542,7 +542,7 @@ RP014_GUARDED_NARROWING = (
 RP014_GUARDED_REDUCTION = (
     "import numpy as np\n"
     "import numpy.typing as npt\n"
-    "from repro.core.arena import int32_fits\n"
+    "from repro.db.mmap_lists import int32_fits\n"
     "def total(a: npt.NDArray[np.int64], n: int):\n"
     "    if int32_fits(n):\n"
     "        narrow = a.astype(np.int32)\n"
@@ -552,18 +552,14 @@ RP014_GUARDED_REDUCTION = (
 
 
 class TestRP014SanctionedArenaNarrowing:
-    """The int32 arena storage mode: guarded narrowing is legal,
-    unguarded narrowing and narrow accumulators stay hazards."""
-
-    def test_arena_module_is_scanned(self):
-        result = analyze_source(
-            RP014_FLAGGING, filename=RP014_ARENA_FILE, select=["RP014"]
-        )
-        assert codes(result) == ["RP014"]
+    """The int32 storage mode of the memory-mapped sorted lists (the name
+    dates from the retired shared-memory arena, the guard's first user):
+    narrowing guarded by ``int32_fits`` is legal, unguarded narrowing and
+    narrow accumulators stay hazards."""
 
     def test_mmap_lists_module_is_scanned(self):
         result = analyze_source(
-            RP014_FLAGGING, filename="src/repro/db/mmap_lists.py", select=["RP014"]
+            RP014_FLAGGING, filename=RP014_STORAGE_FILE, select=["RP014"]
         )
         assert codes(result) == ["RP014"]
 
@@ -573,7 +569,7 @@ class TestRP014SanctionedArenaNarrowing:
             "import numpy.typing as npt\n"
             "def store(a: npt.NDArray[np.int64]):\n"
             "    return a.astype(np.int32)\n",
-            filename=RP014_ARENA_FILE,
+            filename=RP014_STORAGE_FILE,
             select=["RP014"],
         )
         assert codes(result) == ["RP014"]
@@ -581,24 +577,13 @@ class TestRP014SanctionedArenaNarrowing:
 
     def test_fit_guarded_narrowing_is_sanctioned(self):
         result = analyze_source(
-            RP014_GUARDED_NARROWING, filename=RP014_ARENA_FILE, select=["RP014"]
-        )
-        assert codes(result) == []
-
-    def test_storage_dtype_call_counts_as_guard(self):
-        result = analyze_source(
-            "import numpy as np\n"
-            "from repro.core.arena import storage_dtype\n"
-            "def allocate(m: int, n: int):\n"
-            "    return np.zeros((m, n), dtype=storage_dtype(n))\n",
-            filename=RP014_ARENA_FILE,
-            select=["RP014"],
+            RP014_GUARDED_NARROWING, filename=RP014_STORAGE_FILE, select=["RP014"]
         )
         assert codes(result) == []
 
     def test_guarded_narrow_reduction_still_flags_accumulator(self):
         result = analyze_source(
-            RP014_GUARDED_REDUCTION, filename=RP014_ARENA_FILE, select=["RP014"]
+            RP014_GUARDED_REDUCTION, filename=RP014_STORAGE_FILE, select=["RP014"]
         )
         assert codes(result) == ["RP014"]
         assert "default-accumulator" in result.active[0].message
@@ -608,29 +593,14 @@ class TestRP014SanctionedArenaNarrowing:
         text = RP014_GUARDED_REDUCTION.replace(
             "narrow.sum()", "narrow.sum(dtype=np.int64)"
         ).replace("return a.sum()", "return a.sum(dtype=np.int64)")
-        assert codes(analyze_source(text, filename=RP014_ARENA_FILE, select=["RP014"])) == []
-
-    def test_storage_dtype_result_demands_explicit_accumulator(self):
-        # arrays allocated via storage_dtype(n) may be int32: summing
-        # them without dtype= is the overflow hazard the rule exists for
-        result = analyze_source(
-            "import numpy as np\n"
-            "from repro.core.arena import storage_dtype\n"
-            "def total(m: int, n: int):\n"
-            "    rows = np.zeros((m, n), dtype=storage_dtype(n))\n"
-            "    return rows.sum()\n",
-            filename=RP014_ARENA_FILE,
-            select=["RP014"],
-        )
-        assert codes(result) == ["RP014"]
-        assert "default-accumulator" in result.active[0].message
+        assert codes(analyze_source(text, filename=RP014_STORAGE_FILE, select=["RP014"])) == []
 
     def test_noqa_suppresses_guarded_reduction(self):
         text = RP014_GUARDED_REDUCTION.replace(
             "        return narrow.sum()\n",
             "        return narrow.sum()  # repro: noqa[RP014] — test fixture\n",
         )
-        assert codes(analyze_source(text, filename=RP014_ARENA_FILE, select=["RP014"])) == []
+        assert codes(analyze_source(text, filename=RP014_STORAGE_FILE, select=["RP014"])) == []
 
 
 RP015_FLAGGING = (

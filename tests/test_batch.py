@@ -227,6 +227,19 @@ class TestPairwiseDistanceMatrix:
         pooled = pairwise_distance_matrix(profile, metric, jobs=2)
         assert (serial == pooled).all()
 
+    @pytest.mark.parametrize("metric", ["footrule", "weighted_footrule", "top_difference"])
+    def test_l1_family_never_forks(self, metric: str, monkeypatch) -> None:
+        """The L1 metrics accept ``jobs`` and run serially all the same."""
+        profile = WORKLOADS["mallows"]()
+        serial = pairwise_distance_matrix(profile, metric)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the L1 kernel must not start a process pool")
+
+        monkeypatch.setattr("repro.parallel.ProcessPoolExecutor", no_pool)
+        pooled = pairwise_distance_matrix(profile, metric, jobs=2)
+        assert np.array_equal(serial, pooled)
+
     def test_pairs_kernel_jobs_equals_serial(self) -> None:
         rows = bucket_index_matrix(WORKLOADS["mallows"]())
         _assert_same_counts(_pair_counts_pairs(rows, None), _pair_counts_pairs(rows, 2))

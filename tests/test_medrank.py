@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.aggregate.median import median_scores
 from repro.aggregate.medrank import AccessLog, medrank, nra_median
 from repro.core.partial_ranking import PartialRanking
+from repro.db.mmap_lists import SortedListStore, int32_fits
 from repro.errors import AggregationError
 from repro.generators.random import (
     random_bucket_order,
@@ -136,3 +137,15 @@ class TestSingleList:
         assert result.access_log.depth == 1
         certified = nra_median([sigma], k=1)
         assert certified.winners == ("c",)
+
+
+class TestSortedListStoreStorage:
+    def test_fit_guard(self):
+        assert int32_fits(5)
+        assert int32_fits((2**31 - 1) // 2)
+        assert not int32_fits(2**31)
+
+    def test_small_domain_stores_int32(self, tmp_path):
+        profile = (PartialRanking([[0, 1], [2]]), PartialRanking([[2], [1, 0]]))
+        store = SortedListStore.build(tmp_path / "lists", profile)
+        assert store.storage == "int32"

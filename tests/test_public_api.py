@@ -53,10 +53,15 @@ class TestImportFootprint:
 
     def test_serving_import_leaves_csgraph_unloaded(self):
         # dominance_components imports scipy's csgraph on first use: it
-        # costs ~0.3 s and ~33 MB that starting a server need not pay
+        # costs ~0.3 s and ~33 MB that starting a server need not pay;
+        # and no library path uses shared memory
         src = Path(repro.__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": str(src)}
-        probe = "import sys, repro.serve; print('scipy.sparse.csgraph' in sys.modules)"
+        modules = ("scipy.sparse.csgraph", "multiprocessing.shared_memory")
+        probe = (
+            "import sys, repro.serve; "
+            f"print([name for name in {modules!r} if name in sys.modules])"
+        )
         result = subprocess.run(
             [sys.executable, "-c", probe],
             capture_output=True,
@@ -64,7 +69,7 @@ class TestImportFootprint:
             env=env,
             check=True,
         )
-        assert result.stdout.strip() == "False"
+        assert result.stdout.strip() == "[]"
 
 
 class TestDoctests:

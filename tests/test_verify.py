@@ -45,10 +45,10 @@ class TestRegistry:
     def test_check_census(self):
         checks = all_checks()
         kinds = [info.kind for info in checks]
-        # 28 static + 2 auto-contributed plugin oracles + 6 candidate-hook
+        # 26 static + 2 auto-contributed plugin oracles + 6 candidate-hook
         # oracles (one per registered metric); 15 static + 2 plugins x
         # (symmetry, regularity) auto-contributed relations
-        assert kinds.count("oracle") == 36
+        assert kinds.count("oracle") == 34
         assert kinds.count("relation") == 19
         assert not any(info.selftest_only for info in checks)
 
