@@ -152,7 +152,6 @@ def kemeny_decomposed(
     rankings: Sequence[PartialRanking],
     p: float = 0.5,
     *,
-    jobs: int | None = None,
     max_exact: int = _MAX_EXACT,
     require_exact: bool = False,
 ) -> DecomposedResult:
@@ -175,7 +174,7 @@ def kemeny_decomposed(
     """
     validate_max_exact(max_exact)
     validate_penalty(p)
-    items, ahead, ties = pair_cost_array(rankings, jobs=jobs)
+    items, ahead, ties = pair_cost_array(rankings)
     n = len(items)
     with obs.trace("aggregate.kemeny.decompose", n=n):
         components = dominance_components(ahead)

@@ -41,48 +41,20 @@ from repro import obs
 from repro.aggregate.objective import validate_penalty, validate_profile
 from repro.core.codec import DomainCodec
 from repro.core.partial_ranking import Item, PartialRanking
-from repro.metrics.batch import bucket_index_matrix, sign_tensor
-from repro.parallel import parallel_map, resolve_jobs
+from repro.metrics.batch import bucket_index_matrix
 
 __all__ = [
     "pair_cost_array",
     "kemeny_lower_bound",
 ]
 
-#: Cap on sign-tensor elements materialized per worker chunk (the same
-#: per-tile budget the pair classifier in :mod:`repro.metrics.batch` uses).
+#: Cap on the boolean ``(c, n, n)`` comparison elements materialized per
+#: row chunk (8 MiB).
 _CHUNK_BUDGET = 1 << 23
-
-
-def _pair_order_chunk(
-    bucket_rows: npt.NDArray[np.int64],
-) -> tuple[npt.NDArray[np.int64], int]:
-    """Pool worker: exact pair-order counts for a chunk of rankings.
-
-    Shares the :func:`repro.metrics.batch.sign_tensor` encoding with the
-    tiled all-pairs classifier: from the chunk's ``(c, n·n)`` sign tensor
-    ``S`` and its magnitude ``|S|``, the column sums give
-
-        ``ahead = (sum S + sum |S|) / 2``   (count of rankings with the
-        column's second item strictly ahead — sign +1),
-
-    and the strictly ordered (ranking, ordered pair) cells ``sum |S|``
-    leave ``(c·n·(n−1) − sum |S|) / 2`` tied (ranking, pair) cells. Both
-    are exact small integers in float64 and are returned as int64.
-    """
-    count, n = bucket_rows.shape
-    tensor = sign_tensor(bucket_rows)
-    sign_sum = tensor.sum(axis=0)
-    strict_sum = np.abs(tensor).sum(axis=0)
-    ahead = np.rint((sign_sum + strict_sum) / 2.0).astype(np.int64).reshape(n, n)
-    ties = (count * n * (n - 1) - int(np.rint(strict_sum.sum()))) // 2
-    return ahead, ties
 
 
 def pair_cost_array(
     rankings: Sequence[PartialRanking],
-    *,
-    jobs: int | None = None,
 ) -> tuple[list[Item], npt.NDArray[np.int64], int]:
     """The integer pair counts every Kemeny solver runs on.
 
@@ -93,10 +65,10 @@ def pair_cost_array(
     full ranking's ``K^(p)`` objective is the sum of ``ahead`` over its
     ordered pairs plus ``p · ties``.
 
-    The workers accumulate the counts via the shared
-    :func:`repro.metrics.batch.sign_tensor` path in integer arithmetic,
-    so the result is identical for every job count. ``jobs`` spreads the
-    construction over a process pool (see :mod:`repro.parallel`).
+    One boolean comparison ``bucket_r(i) > bucket_r(j)`` per ranking,
+    summed into int64 over row chunks of at most ``_CHUNK_BUDGET``
+    elements. Each strictly ordered (input, pair) adds exactly one to
+    ``ahead``, so ``ties`` is ``m·n(n−1)/2`` minus its total.
 
     This is the one cost kernel every consumer uses (the DP, the lower
     bound, the SCC decomposition, the tournament diagnostics).
@@ -110,15 +82,12 @@ def pair_cost_array(
     with obs.trace("aggregate.kemeny.pair_cost_array", m=m, n=n):
         obs.add("kemeny.cells", m * n * n)
         bucket_rows = bucket_index_matrix(rankings, codec)
-        n_jobs = min(resolve_jobs(jobs), m)
-        per_chunk = max(1, min(_CHUNK_BUDGET // max(1, n * n), -(-m // max(1, n_jobs))))
-        chunks = [bucket_rows[a : a + per_chunk] for a in range(0, m, per_chunk)]
-        obs.set_attr("chunks", len(chunks))
+        per_chunk = max(1, _CHUNK_BUDGET // max(1, n * n))
         ahead = np.zeros((n, n), dtype=np.int64)
-        ties = 0
-        for chunk_ahead, chunk_ties in parallel_map(_pair_order_chunk, chunks, jobs=jobs):
-            ahead += chunk_ahead
-            ties += chunk_ties
+        for a in range(0, m, per_chunk):
+            chunk = bucket_rows[a : a + per_chunk]
+            ahead += (chunk[:, :, None] > chunk[:, None, :]).sum(axis=0, dtype=np.int64)
+        ties = m * n * (n - 1) // 2 - int(ahead.sum())
         return items, ahead, ties
 
 
@@ -128,12 +97,7 @@ def _pairwise_minimum(ahead: npt.NDArray[np.int64]) -> int:
     return int(np.minimum(ahead, ahead.T)[i_upper, j_upper].sum())
 
 
-def kemeny_lower_bound(
-    rankings: Sequence[PartialRanking],
-    p: float = 0.5,
-    *,
-    jobs: int | None = None,
-) -> float:
+def kemeny_lower_bound(rankings: Sequence[PartialRanking], p: float = 0.5) -> float:
     """``sum_{pairs} min(D[x, y], D[y, x]) + p·T`` — a lower bound on the
     optimal full-ranking ``K^(p)`` aggregation objective.
 
@@ -141,7 +105,7 @@ def kemeny_lower_bound(
     an exact integer; ``p`` enters only through the final ``p·T``.
     """
     validate_penalty(p)
-    _, ahead, ties = pair_cost_array(rankings, jobs=jobs)
+    _, ahead, ties = pair_cost_array(rankings)
     return float(_pairwise_minimum(ahead)) + p * ties
 
 

@@ -15,6 +15,7 @@ a few distinct values.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections.abc import Sequence
 
 from repro.core.partial_ranking import Item, PartialRanking
@@ -24,24 +25,31 @@ from repro.generators.random import random_type, resolve_rng
 __all__ = ["mallows_full_ranking", "bucketized_mallows"]
 
 
-def _insertion_offset(size: int, phi: float, rng: random.Random) -> int:
-    """Sample the insertion offset *from the end* of a prefix of length ``size``.
+def _insertion_offsets(count: int, phi: float, rng: random.Random) -> list[int]:
+    """Insertion offsets *from the end* for prefixes of length 0..count−1.
 
     Offset ``j`` creates exactly ``j`` new inversions against the reference
     order, so its weight is ``phi ** j``; offset 0 (append at the end)
-    keeps the reference order.
+    keeps the reference order. Step ``s`` draws ``u · C[s]`` against the
+    cumulative weights ``C[j] = phi**0 + … + phi**j``, built once with
+    sequential ``+=``, and takes the first ``j ≤ s`` with the draw at most
+    ``C[j]`` (``s`` on floating-point slack). The offsets equal those of
+    the per-step loop that re-summed ``s + 1`` weights with ``sum()``
+    only because CPython 3.11's float ``sum()`` adds sequentially, as
+    ``+=`` does; 3.12's compensated ``sum()`` rounds the totals
+    differently. CI pins 3.11.
     """
     if phi == 1.0:
-        return rng.randrange(size + 1)
-    weights = [phi**j for j in range(size + 1)]
-    total = sum(weights)
-    draw = rng.random() * total
-    cumulative = 0.0
-    for index, weight in enumerate(weights):
-        cumulative += weight
-        if draw <= cumulative:
-            return index
-    return size  # floating-point slack
+        return [rng.randrange(step + 1) for step in range(count)]
+    cumulative: list[float] = []
+    running = 0.0
+    for j in range(count):
+        running += phi**j
+        cumulative.append(running)
+    return [
+        min(bisect_left(cumulative, rng.random() * cumulative[step], 0, step + 1), step)
+        for step in range(count)
+    ]
 
 
 def mallows_full_ranking(
@@ -68,10 +76,10 @@ def mallows_full_ranking(
     generator = resolve_rng(rng)
 
     order: list[Item] = []
-    for step, item in enumerate(base):
+    offsets = _insertion_offsets(len(base), phi, generator)
+    for step, (item, offset) in enumerate(zip(base, offsets)):
         # insert the next reference item near the end of the prefix, with
         # geometric slippage toward the front controlled by phi
-        offset = _insertion_offset(step, phi, generator)
         order.insert(step - offset, item)
     return PartialRanking.from_sequence(order)
 

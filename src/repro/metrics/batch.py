@@ -80,7 +80,6 @@ __all__ = [
     "profile_codec",
     "bucket_index_matrix",
     "position_matrix",
-    "sign_tensor",
     "pair_counts_matrix",
     "pairwise_distance_matrix",
 ]
@@ -164,24 +163,6 @@ def position_matrix(
 # ----------------------------------------------------------------------
 # Pair classification
 # ----------------------------------------------------------------------
-
-
-def sign_tensor(
-    bucket_rows: npt.NDArray[np.signedinteger[Any]],
-) -> npt.NDArray[np.float64]:
-    """Flattened per-ranking pair-sign tensors, shape ``(m, n·n)``.
-
-    ``S[r, i·n + j] = sign(bucket_r(i) − bucket_r(j))`` — +1 when ranking
-    ``r`` places item ``j`` strictly ahead of item ``i``, −1 when behind,
-    0 when tied. ``|S|`` is the strict-order indicator and ``1 − |S|`` the
-    tie indicator, so the same encoding feeds both the tiled pair
-    classifier here (built one item tile at a time) and the Kemeny
-    pair-cost accumulation in :mod:`repro.aggregate.kemeny`. Entries are
-    exact small integers in float64.
-    """
-    m, n = bucket_rows.shape
-    sign = np.sign(bucket_rows[:, :, None] - bucket_rows[:, None, :]).reshape(m, n * n)
-    return sign.astype(np.float64)
 
 
 def _tied_per_ranking(

@@ -56,6 +56,10 @@ __all__ = ["ReproServer", "BadRequest"]
 
 _MAX_BODY = 16 * 1024 * 1024  # 16 MiB: far above any sane ranking payload
 
+#: Per-``recv`` buffer on an accepted connection: the StreamReader's own
+#: default limit, in place of the selector transport's 256 KiB.
+_RECV_SIZE = 64 * 1024
+
 
 class BadRequest(ValueError):
     """The request body was syntactically valid JSON but the wrong shape."""
@@ -143,6 +147,14 @@ class ReproServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        transport = writer.transport
+        if hasattr(transport, "max_size"):
+            # The transport allocates a max_size buffer for every recv. At
+            # 256 KiB that lands at the top of a small server heap, so
+            # glibc trims the heap after each request and faults it back
+            # in on the next: perfbench wire-mixed lost ~17% of its ops/s
+            # to this once `import repro` stopped loading SciPy.
+            transport.max_size = _RECV_SIZE
         try:
             while True:
                 request = await _read_request(reader)

@@ -39,6 +39,7 @@ from repro.aggregate.batch import (
     median_top_k_batch,
 )
 from repro.aggregate.decompose import kemeny_decomposed
+from repro.aggregate.kemeny import pair_cost_array
 from repro.aggregate.matching import optimal_footrule_aggregation
 from repro.aggregate.medrank import medrank, medrank_out_of_core
 from repro.aggregate.minmax import OBJECTIVES, aggregate
@@ -91,12 +92,14 @@ from repro.metrics.normalized import (
 from repro.metrics.registry import CandidateScorer, registered_metrics
 from repro.verify.reference import (
     aggregate_exhaustive_scalar,
+    footrule_assignment_broadcast,
     kemeny_monolithic,
     median_fixed_type_dict,
     median_full_ranking_dict,
     median_partial_ranking_dict,
     median_scores_dict,
     median_top_k_dict,
+    pair_cost_sign_sums,
 )
 
 __all__ = [
@@ -374,28 +377,13 @@ def _kendall_matrix_kernel(
     return call
 
 
-def _matching_variant(jobs: int | None) -> _OracleFn:
-    def call(rankings: Rankings) -> object:
-        return optimal_footrule_aggregation(rankings, jobs=jobs)
-
-    return call
-
-
-def _kemeny_variant(jobs: int | None) -> _OracleFn:
-    def call(rankings: Rankings) -> object:
-        result = kemeny_decomposed(rankings, jobs=jobs, require_exact=True)
-        return result.ranking, result.objective
-
-    return call
-
-
 def _kemeny_monolithic_objective(rankings: Rankings) -> object:
     """The single-DP optimum value (no SCC condensation)."""
     _, objective = kemeny_monolithic(rankings)
     return objective
 
 
-def _kemeny_decomposed_objective(jobs: int | None) -> _OracleFn:
+def _kemeny_decomposed_objective(rankings: Rankings) -> object:
     """The SCC-condensed optimum value.
 
     Only the *objective* is compared: when several full rankings are
@@ -403,12 +391,7 @@ def _kemeny_decomposed_objective(jobs: int | None) -> _OracleFn:
     tie differently, but the optimum value is unique and (for dyadic
     penalties) exactly representable, so equality is bit-for-bit.
     """
-
-    def call(rankings: Rankings) -> object:
-        result = kemeny_decomposed(rankings, jobs=jobs, require_exact=True)
-        return result.objective
-
-    return call
+    return kemeny_decomposed(rankings, require_exact=True).objective
 
 
 # -- median aggregation: dict reference vs array kernels ----------------
@@ -828,21 +811,18 @@ def _build_entries() -> tuple[OracleEntry, ...]:
         OracleEntry(
             name="aggregate-footrule-matching",
             kind="profile",
-            citation="optimal footrule aggregation: serial vs pooled cost matrix",
+            citation="optimal footrule aggregation: per-ranking cost rows vs one broadcast",
             covers=(),
-            reference=_matching_variant(None),
-            variants=(("jobs2", _matching_variant(2)),),
-            expensive=frozenset({"jobs2"}),
+            reference=footrule_assignment_broadcast,
+            variants=(("public", optimal_footrule_aggregation),),
         ),
         OracleEntry(
             name="aggregate-kemeny",
             kind="profile",
-            citation="exact K^(p) aggregation: serial vs pooled pair costs",
+            citation="Kemeny pair counts: boolean comparison vs sign-tensor sums",
             covers=(),
-            reference=_kemeny_variant(None),
-            variants=(("jobs2", _kemeny_variant(2)),),
-            max_items=7,
-            expensive=frozenset({"jobs2"}),
+            reference=pair_cost_sign_sums,
+            variants=(("public", pair_cost_array),),
         ),
         OracleEntry(
             name="aggregate-kemeny-decomposed",
@@ -850,12 +830,8 @@ def _build_entries() -> tuple[OracleEntry, ...]:
             citation="SCC-condensed exact K^(p) optimum == monolithic Held-Karp optimum",
             covers=(),
             reference=_kemeny_monolithic_objective,
-            variants=(
-                ("decomposed", _kemeny_decomposed_objective(None)),
-                ("decomposed-jobs2", _kemeny_decomposed_objective(2)),
-            ),
+            variants=(("decomposed", _kemeny_decomposed_objective),),
             max_items=7,
-            expensive=frozenset({"decomposed-jobs2"}),
         ),
         OracleEntry(
             name="aggregate-median-scores",

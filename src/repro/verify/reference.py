@@ -14,6 +14,14 @@ bit:
 * the **Python Held–Karp DP** — the per-state generator-sum recurrence
   that :func:`repro.aggregate.kemeny._held_karp` batches into one matrix
   product;
+* the **sign-sum pair counts** — Kemeny's ``(items, ahead, ties)`` from
+  the column sums of the profile's ``(m, n·n)`` pair-sign tensor, the
+  arithmetic :func:`repro.aggregate.kemeny.pair_cost_array` replaces with
+  one boolean comparison summed into int64;
+* the **broadcast footrule assignment** — the item×slot footrule cost
+  from one ``(m, n, n)`` broadcast, solved by SciPy's
+  ``linear_sum_assignment``: the reference for
+  :func:`repro.aggregate.matching.optimal_footrule_aggregation`;
 * the **monolithic Kemeny solver** — one Held–Karp DP over the whole
   instance, the SCC-soundness reference for
   :func:`repro.aggregate.decompose.kemeny_decomposed`;
@@ -30,6 +38,7 @@ from itertools import permutations
 
 import numpy as np
 import numpy.typing as npt
+from scipy.optimize import linear_sum_assignment
 
 from repro.aggregate.decompose import _MAX_EXACT
 from repro.aggregate.dp import optimal_partial_ranking
@@ -41,8 +50,10 @@ from repro.aggregate.median import (
     _validated_weights,
 )
 from repro.aggregate.objective import resolve_metric, validate_penalty, validate_profile
+from repro.core.codec import DomainCodec
 from repro.core.partial_ranking import Item, PartialRanking
 from repro.errors import AggregationError
+from repro.metrics.batch import bucket_index_matrix, position_matrix
 
 __all__ = [
     "median_scores_dict",
@@ -50,6 +61,8 @@ __all__ = [
     "median_full_ranking_dict",
     "median_partial_ranking_dict",
     "median_fixed_type_dict",
+    "pair_cost_sign_sums",
+    "footrule_assignment_broadcast",
     "held_karp_python",
     "kemeny_monolithic",
     "aggregate_exhaustive_scalar",
@@ -132,6 +145,50 @@ def median_fixed_type_dict(
         buckets.append(ordered[start : start + size])
         start += size
     return PartialRanking(buckets)
+
+
+def pair_cost_sign_sums(
+    rankings: Sequence[PartialRanking],
+) -> tuple[list[Item], npt.NDArray[np.int64], int]:
+    """:func:`~repro.aggregate.kemeny.pair_cost_array` from sign sums.
+
+    ``S[r, i·n + j] = sign(bucket_r(i) − bucket_r(j))`` is +1 when input
+    ``r`` places item ``j`` strictly ahead of item ``i``; its column sums
+    give ``ahead = (sum S + sum |S|) / 2``, and the strictly ordered
+    (input, ordered pair) cells ``sum |S|`` leave
+    ``(m·n(n−1) − sum |S|) / 2`` tied (input, pair) cells. Every sum is
+    an exact small integer in float64.
+    """
+    validate_profile(rankings)
+    codec = DomainCodec.for_profile(rankings)
+    rows = bucket_index_matrix(rankings, codec)
+    m, n = rows.shape
+    sign = np.sign(rows[:, :, None] - rows[:, None, :]).reshape(m, n * n).astype(np.float64)
+    sign_sum = sign.sum(axis=0)
+    strict_sum = np.abs(sign).sum(axis=0)
+    ahead = np.rint((sign_sum + strict_sum) / 2.0).astype(np.int64).reshape(n, n)
+    ties = (m * n * (n - 1) - int(np.rint(strict_sum.sum()))) // 2
+    return list(codec.items), ahead, ties
+
+
+def footrule_assignment_broadcast(
+    rankings: Sequence[PartialRanking],
+) -> tuple[PartialRanking, float]:
+    """Optimal footrule aggregation from one whole-profile broadcast.
+
+    ``cost[x, k] = sum_i |sigma_i(x) − k|`` over slots ``k = 1..n``, built
+    as one ``(m, n, n)`` array and summed over the inputs (sums of
+    half-integers, exact in float64), then SciPy's assignment solver.
+    """
+    validate_profile(rankings)
+    codec = DomainCodec.for_profile(rankings)
+    positions = position_matrix(rankings, codec)
+    n = positions.shape[1]
+    slots = np.arange(1, n + 1, dtype=float)
+    cost = np.abs(positions[:, :, None] - slots[None, None, :]).sum(axis=0)
+    rows, cols = linear_sum_assignment(cost)
+    order = [codec.items[row] for row in rows[np.argsort(cols)]]
+    return PartialRanking.from_sequence(order), float(cost[rows, cols].sum())
 
 
 def held_karp_python(

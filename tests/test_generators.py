@@ -117,6 +117,38 @@ class TestMallows:
         )
         assert near < far
 
+    @pytest.mark.parametrize("n", [1, 2, 9, 200])
+    @pytest.mark.parametrize("phi", [1e-6, 0.3, 0.7, 0.95, 1.0])
+    def test_draws_match_the_per_step_weight_loop(self, n, phi):
+        """Same offsets, and the same rng state after, as re-summing the
+        step's weights on every insertion."""
+
+        def naive(reference, rng):
+            order = []
+            for step, item in enumerate(reference):
+                if phi == 1.0:
+                    offset = rng.randrange(step + 1)
+                else:
+                    weights = [phi**j for j in range(step + 1)]
+                    draw = rng.random() * sum(weights)
+                    cumulative = 0.0
+                    offset = step
+                    for index, weight in enumerate(weights):
+                        cumulative += weight
+                        if draw <= cumulative:
+                            offset = index
+                            break
+                order.insert(step - offset, item)
+            return PartialRanking.from_sequence(order)
+
+        for seed in range(3):
+            fast_rng, naive_rng = random.Random(seed), random.Random(seed)
+            reference = list(range(n))
+            assert mallows_full_ranking(reference, phi, fast_rng) == naive(
+                reference, naive_rng
+            )
+            assert fast_rng.random() == naive_rng.random()
+
     def test_bucketized_output_is_valid(self):
         sigma = bucketized_mallows(list(range(15)), 0.4, 7, max_bucket=4)
         assert sigma.domain == set(range(15))

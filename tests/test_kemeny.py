@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import numpy as np
 
+from repro.aggregate import kemeny
 from repro.aggregate.decompose import kemeny_decomposed
 from repro.aggregate.exact import optimal_full_ranking
 from repro.aggregate.kemeny import (
@@ -21,7 +22,11 @@ from repro.core.partial_ranking import PartialRanking
 from repro.errors import AggregationError
 from repro.generators.random import random_bucket_order, resolve_rng
 from repro.metrics.kendall import kendall
-from repro.verify.reference import held_karp_python, kemeny_monolithic
+from repro.verify.reference import (
+    held_karp_python,
+    kemeny_monolithic,
+    pair_cost_sign_sums,
+)
 
 
 def kemeny_exact(rankings, p=0.5, **kwargs):
@@ -56,6 +61,19 @@ class TestPairCostMatrix:
         strict = (ahead + ahead.T)[upper]
         assert (strict <= len(rankings)).all()
         assert int((len(rankings) - strict).sum()) == ties
+
+    @pytest.mark.parametrize("rows_per_chunk", [1, 3, 11])
+    def test_counts_match_sign_sums_across_chunks(self, monkeypatch, rows_per_chunk):
+        rng = resolve_rng(5)
+        n = 9
+        rankings = [random_bucket_order(n, rng, tie_bias=0.4) for _ in range(11)]
+        monkeypatch.setattr(kemeny, "_CHUNK_BUDGET", rows_per_chunk * n * n)
+        items, ahead, ties = pair_cost_array(rankings)
+        ref_items, ref_ahead, ref_ties = pair_cost_sign_sums(rankings)
+        assert items == ref_items
+        assert ahead.dtype == np.int64
+        assert np.array_equal(ahead, ref_ahead)
+        assert ties == ref_ties
 
     def test_bad_p_rejected(self):
         # pair_cost_array takes no p; the solvers that use it validate it

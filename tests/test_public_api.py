@@ -52,12 +52,13 @@ class TestImportFootprint:
         assert result.stdout.strip() == "False"
 
     def test_serving_import_leaves_csgraph_unloaded(self):
-        # dominance_components imports scipy's csgraph on first use: it
-        # costs ~0.3 s and ~33 MB that starting a server need not pay;
-        # and no library path uses shared memory
+        # dominance_components imports scipy's csgraph and the footrule
+        # assignment imports scipy.optimize on first use: time and memory
+        # that starting a server need not pay; and no library path uses
+        # shared memory
         src = Path(repro.__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": str(src)}
-        modules = ("scipy.sparse.csgraph", "multiprocessing.shared_memory")
+        modules = ("scipy.sparse.csgraph", "scipy.optimize", "multiprocessing.shared_memory")
         probe = (
             "import sys, repro.serve; "
             f"print([name for name in {modules!r} if name in sys.modules])"

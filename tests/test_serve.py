@@ -799,7 +799,9 @@ class TestHTTP:
         self._serve(scenario)
 
     def test_http_snapshot_restore(self):
+        """The snapshot body is larger than one 64 KiB socket read."""
         sigma, tau = _rankings(2)
+        crowd = _rankings(40, seed=3) * 15
         domain = sorted(DOMAIN)
 
         async def scenario(server: ReproServer):
@@ -808,9 +810,12 @@ class TestHTTP:
                 "/v1/update",
                 {"domain": domain, "voter": "a", "ranking": _literal(sigma)},
             )
+            for index, ranking in enumerate(crowd):
+                await server.service.update(DOMAIN, f"v{index}", ranking)
             status, body = await _post(server.port, "/v1/snapshot", {})
             assert status == 200
             blob = body["result"]["snapshot"]
+            assert len(blob) > 64 * 1024
             await _post(
                 server.port,
                 "/v1/update",
@@ -822,7 +827,7 @@ class TestHTTP:
             status, body = await _post(
                 server.port, "/v1/consensus", {"domain": domain, "kind": "scores"}
             )
-            expected = median_scores([sigma])  # voter b is gone again
+            expected = median_scores([sigma, *crowd])  # voter b is gone again
             assert {item: score for item, score in body["result"]["scores"]} == expected
             status, body = await _post(server.port, "/v1/restore", {"snapshot": "!!!"})
             assert status == 400
